@@ -1,8 +1,9 @@
 """The fleet router: one front door, N worker pods, zero lost requests.
 
-:class:`FleetRouter` speaks the exact JSON-over-HTTP protocol of the
-single-process daemon (``repro.service.api``), so :class:`ServiceClient`
-and every existing caller work unchanged against a fleet.  Behind the door:
+:class:`FleetRouter` answers the single-process daemon's route table
+through the same transport (:mod:`repro.service.http`: body parsing, error
+table, endpoint metrics), so :class:`ServiceClient` and every existing caller
+work unchanged against a fleet.  Behind the door:
 
 * **Placement** -- requests route over a consistent-hash ring keyed by the
   fingerprint of their database pair (:mod:`repro.fleet.ring`), so all
@@ -24,33 +25,37 @@ and every existing caller work unchanged against a fleet.  Behind the door:
 * **Supervision** -- an optional heartbeat thread probes workers, respawns
   dead pods (replaying database registrations onto the newcomer) and adds
   them back to the ring.
-* **Live deltas** -- ``POST /ingest`` broadcasts a row-level delta batch to
-  every live worker (single-flighted by delta id); all pods must agree on
-  the post-delta fingerprint, and each pod's delta-aware invalidation drops
-  write-through tombstones into the shared tier so siblings cannot resurrect
-  artifacts of the previous database version.  Applied deltas are logged and
-  replayed (after the base registration) onto respawned pods.
+* **Live deltas** -- ``POST /ingest`` is validated at the router, then
+  broadcasts a row-level delta batch to every live worker (single-flighted
+  by delta id); all pods must agree on the post-delta fingerprint, and each
+  pod's delta-aware invalidation drops write-through tombstones into the
+  shared tier so siblings cannot resurrect artifacts of the previous
+  database version.  Applied deltas are logged and replayed (after the base
+  registration) onto respawned pods.  A broadcast that some pods applied
+  and another refused is reported, never hidden: a 500
+  ``FleetConsistencyError`` names both sides.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.reliability.breaker import BreakerRegistry, CircuitOpenError
-from repro.runs.errors import RunError
 from repro.runs.spec import compile_runs_payload
-from repro.service.api import error_payload
+from repro.service.api import ingest_request_from_payload
 from repro.service.cache import fingerprint_of
+from repro.service.http import (
+    JSONHTTPServer,
+    NoWorkerAvailable,
+    WorkerUnavailable,
+    error_payload,
+    http_json,
+    start_in_background,
+)
 from repro.service.metrics import LatencyRecorder, merge_endpoint_snapshots
 from repro.fleet.ring import HashRing
 from repro.fleet.shared_cache import SharedCacheTier, aggregate_cache_stats
-from repro.fleet.worker import WorkerPool, WorkerUnavailable, http_json
-
-
-class NoWorkerAvailable(RuntimeError):
-    """Every eligible worker is dead or breaker-open for this request (503)."""
+from repro.fleet.worker import WorkerPool
 
 
 class _Flight:
@@ -98,10 +103,11 @@ class FleetRouter:
         #: Replayed onto respawned/joining workers so any pod can serve
         #: any database.  Maps name -> the raw /databases payload.
         self._registrations: dict[str, dict] = {}
-        #: Applied deltas per database, in order, replayed after the
-        #: registration so a respawned pod converges on the live fingerprint.
-        #: Cleared when a database is (re)registered from scratch.
-        self._ingests: dict[str, list[dict]] = {}
+        #: Applied deltas per database (delta id -> raw /ingest payload, in
+        #: order), replayed after the registration so a respawned pod
+        #: converges on the live fingerprint.  Cleared when a database is
+        #: (re)registered from scratch.
+        self._ingests: dict[str, dict[str, dict]] = {}
         self._inflight: dict[str, _Flight] = {}
         self._counters = {
             "routed": 0, "failovers": 0, "coalesced": 0,
@@ -143,17 +149,11 @@ class FleetRouter:
         """
         with self._lock:
             registrations = list(self._registrations.values())
-            ingests = {name: list(deltas) for name, deltas in self._ingests.items()}
-        for payload in registrations:
-            http_json(
-                "POST", f"{worker.url}/databases", payload,
-                timeout=self.forward_timeout,
-            )
-        for deltas in ingests.values():
-            for delta_payload in deltas:
+            deltas = [delta for log in self._ingests.values() for delta in log.values()]
+        for path, payloads in (("/databases", registrations), ("/ingest", deltas)):
+            for payload in payloads:
                 http_json(
-                    "POST", f"{worker.url}/ingest", delta_payload,
-                    timeout=self.forward_timeout,
+                    "POST", f"{worker.url}{path}", payload, timeout=self.forward_timeout
                 )
         with self._lock:
             self._workers[worker.name] = worker
@@ -275,98 +275,94 @@ class FleetRouter:
                 self._inflight.pop(idempotency_key, None)
             flight.done.set()
 
+    # -- broadcasts --------------------------------------------------------------------
+    def _broadcast(self, path: str, payload: dict, record) -> tuple[int, dict]:
+        """POST one write to every live worker; ``record()`` logs it for replay.
+
+        Every pod must hold every database version for failover re-hash to
+        be sound.  ``record`` runs under the lock as soon as one pod holds the
+        write, so a pod admitted mid-broadcast still replays it.  A pod that
+        fails before any pod applied the write has its answer relayed as is:
+        nothing changed anywhere.  A pod that fails after another applied it
+        leaves the fleet split, reported as a 500 ``FleetConsistencyError``
+        naming the applied and the failed pods; so is a disagreement on the
+        resulting content fingerprint.  Retrying the same write converges:
+        registrations are idempotent and deltas dedupe by id on every pod.
+        """
+        applied: dict[str, dict] = {}
+        for name, worker in list(self.workers().items()):
+            if worker.state == "dead" or worker.url is None:
+                continue
+            try:
+                status, body = http_json(
+                    "POST", f"{worker.url}{path}", payload, timeout=self.forward_timeout
+                )
+            except WorkerUnavailable:
+                self._mark_dead(name)
+                continue
+            if status >= 400 and not applied:
+                return status, body
+            if status >= 400:
+                error = body.get("error") or {}
+                return 500, error_payload(
+                    "FleetConsistencyError",
+                    f"POST {path} applied on {sorted(applied)} but failed on "
+                    f"{name!r} ({status} {error.get('type', '')}: "
+                    f"{error.get('message', '')}); retry it to converge the fleet",
+                )
+            if not applied:
+                with self._lock:
+                    record()
+            applied[name] = body
+        if not applied:
+            raise NoWorkerAvailable(f"no live worker accepted POST {path}")
+        fingerprints = {body.get("fingerprint") for body in applied.values()}
+        if len(fingerprints) != 1:
+            return 500, error_payload(
+                "FleetConsistencyError",
+                f"workers disagree on the fingerprint after POST {path}: {fingerprints}",
+            )
+        body = next(iter(applied.values()))
+        body["workers"] = sorted(applied)
+        return status, body
+
     # -- the routed API -----------------------------------------------------------------
     def register_database(self, payload: dict) -> tuple[int, dict]:
         """Broadcast a database registration to every live worker.
 
-        Every worker must know every database for failover re-hash to be
-        sound; the payload is also retained and replayed onto respawned
-        pods.  All live workers must agree on the content fingerprint --
-        a disagreement would mean divergent data and is a hard error.
+        The payload is retained and replayed onto respawned pods.  Validation
+        stays on the pods: building the database here too would double the
+        registration cost.
         """
         name = str(payload.get("name", ""))
-        responses: dict[str, dict] = {}
-        status_out = 201
-        for worker_name, worker in list(self.workers().items()):
-            if worker.state == "dead" or worker.url is None:
-                continue
-            try:
-                status, body = http_json(
-                    "POST", f"{worker.url}/databases", payload,
-                    timeout=self.forward_timeout,
-                )
-            except WorkerUnavailable:
-                self._mark_dead(worker_name)
-                continue
-            if status >= 400:
-                return status, body
-            responses[worker_name] = body
-        if not responses:
-            raise NoWorkerAvailable("no live worker accepted the registration")
-        fingerprints = {body.get("fingerprint") for body in responses.values()}
-        if len(fingerprints) != 1:
-            return 500, error_payload(
-                "FleetConsistencyError",
-                f"workers disagree on the fingerprint of {name!r}: {fingerprints}",
-            )
-        with self._lock:
+
+        def record():
             self._registrations[name] = payload
             # A (re)registration defines the database from scratch; earlier
             # deltas are folded into history and must not replay on top.
             self._ingests.pop(name, None)
-        body = next(iter(responses.values()))
-        body["workers"] = sorted(responses)
-        return status_out, body
+
+        return self._broadcast("/databases", payload, record)
 
     def ingest(self, payload: dict) -> tuple[int, dict]:
         """Broadcast one delta batch to every live worker, coherently.
 
-        Deltas, like registrations, go to *every* pod: failover re-hash is
-        only sound if all workers hold the same database version.  The
-        delta id (client-supplied or derived by the API layer) keys the
-        single-flight latch, so a concurrent duplicate submission rides the
-        in-flight broadcast instead of racing it; a later retry is absorbed
-        by each worker's idempotent delta log.  All live workers must agree
-        on the post-delta content fingerprint -- the shared disk tier's
-        tombstones are content-addressed, so divergence would corrupt the
-        fleet's cache coherence and is a hard error.
+        The payload is validated here before any pod is contacted, so a
+        malformed batch is one 400 and never a split fleet.  The delta id
+        (client-supplied or derived from the payload) keys the single-flight
+        latch, so a concurrent duplicate rides the in-flight broadcast; a
+        later retry is absorbed by each worker's idempotent delta log.  The
+        shared disk tier's tombstones are content-addressed, so all pods
+        must agree on the post-delta fingerprint (see :meth:`_broadcast`).
         """
-        delta_id = str(payload.get("delta_id") or self.request_key(payload))
-        return self._single_flight(
-            f"ingest:{delta_id}", lambda: self._broadcast_ingest(payload)
-        )
+        delta_id = ingest_request_from_payload(payload)["delta_id"]
 
-    def _broadcast_ingest(self, payload: dict) -> tuple[int, dict]:
-        database = str(payload.get("database", ""))
-        responses: dict[str, dict] = {}
-        for worker_name, worker in list(self.workers().items()):
-            if worker.state == "dead" or worker.url is None:
-                continue
-            try:
-                status, body = http_json(
-                    "POST", f"{worker.url}/ingest", payload,
-                    timeout=self.forward_timeout,
-                )
-            except WorkerUnavailable:
-                self._mark_dead(worker_name)
-                continue
-            if status >= 400:
-                return status, body
-            responses[worker_name] = body
-        if not responses:
-            raise NoWorkerAvailable("no live worker accepted the delta")
-        fingerprints = {body.get("fingerprint") for body in responses.values()}
-        if len(fingerprints) != 1:
-            return 500, error_payload(
-                "FleetConsistencyError",
-                f"workers disagree on the post-delta fingerprint of "
-                f"{database!r}: {fingerprints}",
-            )
-        with self._lock:
-            self._ingests.setdefault(database, []).append(payload)
-        body = next(iter(responses.values()))
-        body["workers"] = sorted(responses)
-        return 200, body
+        def record():
+            self._ingests.setdefault(str(payload["database"]), {})[delta_id] = payload
+
+        return self._single_flight(
+            f"ingest:{delta_id}", lambda: self._broadcast("/ingest", payload, record)
+        )
 
     def explain(self, payload: dict) -> tuple[int, dict]:
         """Route one explain: single-flight, placement by database pair, failover.
@@ -379,7 +375,7 @@ class FleetRouter:
         same fingerprints, so placement stays sticky and the owning worker's
         report cache stays warm.
         """
-        if isinstance(payload, dict) and "runs" in payload:
+        if "runs" in payload:
             compiled = compile_runs_payload(payload)
             for registration in compiled.registrations:
                 status, body = self.register_database(registration)
@@ -393,7 +389,7 @@ class FleetRouter:
 
         def _call():
             status, body, worker = self._forward(key, "POST", "/explain", payload)
-            if isinstance(body, dict) and status == 200:
+            if status == 200:
                 body.setdefault("fleet", {})
                 body["fleet"].update(
                     {"worker": worker, "idempotency_key": idempotency_key}
@@ -420,7 +416,7 @@ class FleetRouter:
             payload.get("database_left", ""), payload.get("database_right", "")
         )
         status, body, worker = self._forward(key, "POST", "/jobs", payload)
-        if status < 400 and isinstance(body, dict) and "id" in body:
+        if status < 400 and "id" in body:
             body["id"] = f"{worker}:{body['id']}"
         return status, body
 
@@ -436,28 +432,24 @@ class FleetRouter:
             return 404, error_payload("UnknownJobError", f"unknown job {ref}")
         worker_name, job_id = parsed
         worker = self._workers[worker_name]
-        if worker.state == "dead" or worker.url is None:
-            # The owning pod died; its in-memory job state died with it.
-            # Clients re-submit: the idempotency key dedupes on the new pod.
-            return 404, error_payload(
-                "JobLostError",
-                f"worker {worker_name} holding job {job_id} is gone; "
-                "re-submit the request (idempotency keys make this safe)",
-            )
-        try:
-            status, body = http_json(
-                method, f"{worker.url}/jobs/{job_id}", timeout=self.forward_timeout
-            )
-        except WorkerUnavailable:
-            self._mark_dead(worker_name)
-            return 404, error_payload(
-                "JobLostError",
-                f"worker {worker_name} holding job {job_id} is gone; "
-                "re-submit the request (idempotency keys make this safe)",
-            )
-        if isinstance(body, dict) and "id" in body:
-            body["id"] = f"{worker_name}:{body['id']}"
-        return status, body
+        if worker.state != "dead" and worker.url is not None:
+            try:
+                status, body = http_json(
+                    method, f"{worker.url}/jobs/{job_id}", timeout=self.forward_timeout
+                )
+            except WorkerUnavailable:
+                self._mark_dead(worker_name)
+            else:
+                if "id" in body:
+                    body["id"] = f"{worker_name}:{body['id']}"
+                return status, body
+        # The owning pod died; its in-memory job state died with it.
+        # Clients re-submit: the idempotency key dedupes on the new pod.
+        return 404, error_payload(
+            "JobLostError",
+            f"worker {worker_name} holding job {job_id} is gone; "
+            "re-submit the request (idempotency keys make this safe)",
+        )
 
     def job_status(self, ref: str) -> tuple[int, dict]:
         return self._job_call("GET", ref)
@@ -471,11 +463,9 @@ class FleetRouter:
         workers_payload: dict[str, dict] = {}
         worker_health: list[dict] = []
         for name, worker in self.workers().items():
-            entry = worker.describe() if hasattr(worker, "describe") else {
-                "name": name, "url": worker.url, "state": worker.state,
-            }
+            entry = worker.describe()
             if worker.state != "dead":
-                health = worker.probe() if hasattr(worker, "probe") else None
+                health = worker.probe()
                 if health is not None:
                     worker_health.append(health)
                     entry["health"] = {
@@ -542,123 +532,12 @@ class FleetRouter:
 # The router's HTTP front door
 # ---------------------------------------------------------------------------
 
-class RouterHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the router (mirrors the worker protocol)."""
-
-    daemon_threads = True
+class RouterHTTPServer(JSONHTTPServer):
+    """The daemon's route table, answered by a :class:`FleetRouter`."""
 
     def __init__(self, address, router: FleetRouter):
-        super().__init__(address, _RouterRequestHandler)
+        super().__init__(address, router, router.metrics)
         self.router = router
-
-
-class _RouterRequestHandler(BaseHTTPRequestHandler):
-    server: RouterHTTPServer  # narrowed for type checkers
-
-    protocol_version = "HTTP/1.1"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        import json
-
-        body = json.dumps(payload).encode()
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json(self) -> dict:
-        import json
-
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        try:
-            return json.loads(raw) if raw else {}
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"invalid JSON body: {exc}") from exc
-
-    def _endpoint(self, method: str) -> str:
-        path = self.path
-        if path.startswith("/jobs/"):
-            path = "/jobs/{id}"
-        elif path not in ("/health", "/stats", "/databases", "/explain",
-                          "/plan", "/analyze", "/jobs", "/ingest"):
-            path = "{unknown}"
-        return f"{method} {path}"
-
-    def _serve(self, method: str) -> None:
-        self._last_status = 200
-        start = time.perf_counter()
-        try:
-            self._route(method)
-        except NoWorkerAvailable as exc:
-            self._send_json(error_payload("NoWorkerAvailable", str(exc)), status=503)
-        except ValueError as exc:
-            kind = type(exc).__name__ if isinstance(exc, RunError) else "SpecError"
-            self._send_json(
-                error_payload(kind, str(exc), getattr(exc, "path", "")), status=400
-            )
-        except Exception as exc:  # noqa: BLE001 - surface as JSON, never a bare 500
-            self._send_json(error_payload(type(exc).__name__, str(exc)), status=500)
-        finally:
-            self.server.router.metrics.observe(
-                self._endpoint(method),
-                time.perf_counter() - start,
-                error=self._last_status >= 400,
-            )
-
-    def _route(self, method: str) -> None:
-        router = self.server.router
-        if method == "GET":
-            if self.path == "/health":
-                self._send_json(router.health())
-            elif self.path == "/stats":
-                self._send_json(router.stats())
-            elif self.path.startswith("/jobs/"):
-                status, body = router.job_status(self.path.removeprefix("/jobs/"))
-                self._send_json(body, status=status)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        elif method == "POST":
-            routes = {
-                "/databases": router.register_database,
-                "/explain": router.explain,
-                "/plan": router.plan,
-                "/analyze": router.analyze,
-                "/ingest": router.ingest,
-                "/jobs": router.submit_job,
-            }
-            handler = routes.get(self.path)
-            if handler is None:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-                return
-            status, body = handler(self._read_json())
-            self._send_json(body, status=status)
-        elif method == "DELETE":
-            if self.path.startswith("/jobs/"):
-                status, body = router.cancel_job(self.path.removeprefix("/jobs/"))
-                self._send_json(body, status=status)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("POST")
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._serve("DELETE")
 
 
 def serve_router(
@@ -672,9 +551,4 @@ def serve_router_in_background(
     router: FleetRouter, *, host: str = "127.0.0.1", port: int = 0
 ) -> tuple[RouterHTTPServer, threading.Thread]:
     """Start the router daemon on a background thread (port 0 = ephemeral)."""
-    server = serve_router(router, host=host, port=port)
-    thread = threading.Thread(
-        target=server.serve_forever, name="fleet-router", daemon=True
-    )
-    thread.start()
-    return server, thread
+    return start_in_background(serve_router(router, host=host, port=port), "fleet-router")

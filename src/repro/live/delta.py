@@ -193,6 +193,8 @@ class Delta:
 def validate_change_specs(specs, path: str = "/changes") -> list[dict]:
     """Validate a list of change specs; returns them normalized.
 
+    Lineage ids stay ``row_id`` and positions stay integer ``row``, so a
+    normalized batch validates to itself however often it is re-validated.
     Shape errors raise :class:`DeltaError` with a JSON-pointer path.  Value
     errors (unknown columns, bad arity, missing rows) surface later, at apply
     time, against the actual schema.
@@ -225,7 +227,7 @@ def validate_change_specs(specs, path: str = "/changes") -> list[dict]:
             entry["record"] = record
         if op in ("update", "delete"):
             if "row_id" in spec:
-                entry["row"] = str(spec["row_id"])
+                entry["row_id"] = str(spec["row_id"])
             elif "row" in spec:
                 try:
                     entry["row"] = int(spec["row"])
@@ -252,9 +254,10 @@ def _apply_one(relation: Relation, spec: dict, path: str) -> Delta:
     try:
         if spec["op"] == "insert":
             return relation.insert(spec["record"])
+        row = spec["row_id"] if "row_id" in spec else spec["row"]
         if spec["op"] == "update":
-            return relation.update(spec["row"], spec["record"])
-        return relation.delete(spec["row"])
+            return relation.update(row, spec["record"])
+        return relation.delete(row)
     except DeltaError as exc:
         raise DeltaError(str(exc), exc.path or path) from None
 

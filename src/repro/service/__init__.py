@@ -9,7 +9,10 @@ This subsystem converts the one-shot pipeline into a request-serving system:
   hit/miss statistics and optional disk spill;
 * :mod:`repro.service.jobs` -- the bounded-concurrency async job queue with
   cooperative cancellation and optional retry;
-* :mod:`repro.service.api` -- the JSON schema, stdlib HTTP daemon and client.
+* :mod:`repro.service.api` -- the JSON schema, stdlib HTTP daemon and client;
+* :mod:`repro.service.http` -- the one JSON-over-HTTP transport (route
+  table, body parsing, error table, client exchange) the daemon shares with
+  the fleet router.
 
 Reliability primitives (deadlines, circuit breakers, retry policies, fault
 injection) live in :mod:`repro.reliability` and are re-exported here where

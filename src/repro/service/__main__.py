@@ -146,7 +146,6 @@ def crash_smoke() -> int:
     import subprocess
     import tempfile
     import time
-    import urllib.error
 
     def _start_daemon(spill_dir: str) -> tuple[subprocess.Popen, ServiceClient]:
         process = subprocess.Popen(
@@ -171,7 +170,7 @@ def crash_smoke() -> int:
             try:
                 client.health()
                 return process, client
-            except (urllib.error.URLError, ConnectionError, OSError):
+            except ConnectionError:  # not listening yet
                 if time.monotonic() > deadline:
                     process.kill()
                     raise AssertionError("daemon never became healthy")

@@ -76,25 +76,22 @@ Every non-2xx response carries one uniform error envelope
 ``{"error": {"type", "message", "path"}}`` with a distinct status per typed
 error: 400 spec/SQL errors, 404 unknown database, 409 cancelled, 503 open
 circuit breaker, 504 deadline exceeded.  Unexpected failures are structured
-500s -- never a bare string.
+500s -- never a bare string.  Routing, body parsing and that error table are
+the shared transport of :mod:`repro.service.http`, which the fleet router
+serves too.
 
-:class:`ServiceClient` is a thin urllib-based helper mirroring the endpoints.
+:class:`ServiceClient` is a thin helper mirroring the endpoints.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-import time
-import urllib.error
-import urllib.request
 from dataclasses import fields
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.explain3d import Explain3DConfig
 from repro.core.scoring import Priors
 from repro.graphs.weighting import WeightingParams
-from repro.live import DeltaConflictError, DeltaError, validate_change_specs
+from repro.live import validate_change_specs
 from repro.matching.attribute_match import AttributeMatching, matching
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 from repro.relational.executor import Database
@@ -120,64 +117,24 @@ from repro.relational.query import (
     projection_query,
     sum_query,
 )
-from repro.reliability.breaker import CircuitOpenError
-from repro.reliability.deadline import DeadlineExceeded, OperationCancelled
 from repro.reliability.retry import RetryPolicy
-from repro.relational.errors import EmptyAggregateError, SchemaError
+from repro.relational.errors import SchemaError
 from repro.relational.schema import DataType, Schema
-from repro.runs.errors import RunError
 from repro.runs.spec import compile_runs_payload
 from repro.service.cache import fingerprint_of
-from repro.service.engine import ExplainRequest, ExplainService, UnknownDatabaseError
+from repro.service.engine import ExplainRequest, ExplainService
+from repro.service.http import (
+    JSONHTTPServer,
+    JSONRequestHandler,
+    SpecError,
+    error_payload,
+    http_json,
+    start_in_background,
+)
 from repro.service.jobs import JobQueue, JobState
 from repro.service.metrics import LatencyRecorder
 from repro.sql import SqlError
 from repro.sql import parse_query as parse_sql_query
-
-
-class SpecError(ValueError):
-    """Raised when a JSON spec cannot be compiled into pipeline objects.
-
-    ``path`` is a JSON-pointer-style location of the offending field within
-    the request payload (e.g. ``/query_left/where/0/op``); the daemon returns
-    it alongside the message so clients can highlight the exact field.
-    """
-
-    def __init__(self, message: str, path: str = ""):
-        super().__init__(message)
-        self.path = path
-
-    def to_payload(self) -> dict:
-        kind = "SqlError" if isinstance(self.__cause__, SqlError) else "SpecError"
-        return error_payload(kind, str(self), self.path)
-
-
-def error_payload(kind: str, message: str, path: str = "") -> dict:
-    """The uniform error envelope of every non-2xx daemon response.
-
-    ``{"error": {"type": ..., "message": ..., "path": ...}}`` -- ``type`` is
-    the exception class name (machine-matchable), ``path`` a JSON-pointer to
-    the offending request field where one exists (empty otherwise).
-    """
-    return {"error": {"type": kind, "message": message, "path": path}}
-
-
-#: Exception type -> HTTP status for the daemon's typed error responses.
-#: Anything not listed is an unexpected pipeline failure and maps to 500
-#: (still as a structured envelope, never a bare string).
-_ERROR_STATUS = (
-    (SpecError, 400),
-    (RunError, 400),
-    (DeltaError, 400),
-    # A well-formed aggregate over an all-NULL input: the caller's data, not
-    # a server fault.  Must precede any broader ExecutionError mapping.
-    (EmptyAggregateError, 400),
-    (UnknownDatabaseError, 404),
-    (DeltaConflictError, 409),
-    (OperationCancelled, 409),
-    (CircuitOpenError, 503),
-    (DeadlineExceeded, 504),
-)
 
 
 # ---------------------------------------------------------------------------
@@ -665,10 +622,22 @@ def request_from_payload(payload: dict, *, database_resolver=None) -> ExplainReq
 # The HTTP daemon
 # ---------------------------------------------------------------------------
 
-class ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that carries the service and its job queue."""
+class _ServiceRequestHandler(JSONRequestHandler):
+    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
+        # Defined on this class, not only inherited, so a wrapper installed
+        # per class (perfbench's span tracer) can time the daemon's POSTs.
+        self.dispatch("POST")
 
-    daemon_threads = True
+
+class ServiceHTTPServer(JSONHTTPServer):
+    """The daemon: the shared route table, answered by the service and its job queue.
+
+    The routed methods below carry :class:`~repro.fleet.router.FleetRouter`'s
+    names, which is what lets one table (:data:`repro.service.http.ROUTES`)
+    serve both.
+    """
+
+    handler_class = _ServiceRequestHandler
 
     def __init__(
         self,
@@ -678,215 +647,79 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         job_workers: int = 2,
         retry_policy: RetryPolicy | None = None,
     ):
-        super().__init__(address, _ServiceRequestHandler)
+        super().__init__(address, self, LatencyRecorder())
         self.service = service
         self.jobs = JobQueue(
             service.explain, max_workers=job_workers, retry_policy=retry_policy
         )
-        #: Per-endpoint request counts + latency quantiles (rides /health).
-        self.metrics = LatencyRecorder()
 
+    def health(self) -> dict:
+        payload = self.service.health()
+        queue_stats = self.jobs.queue_stats()
+        payload["jobs"] = {
+            "queue_depth": queue_stats["states"].get("queued", 0),
+            "running": queue_stats["states"].get("running", 0),
+            **{
+                k: queue_stats[k]
+                for k in ("submitted", "completed", "failed", "cancelled", "deduplicated")
+            },
+        }
+        payload["endpoints"] = self.metrics.snapshot()
+        return payload
 
-class _ServiceRequestHandler(BaseHTTPRequestHandler):
-    server: ServiceHTTPServer  # narrowed for type checkers
+    def stats(self) -> dict:
+        return {"service": self.service.stats(), "jobs": self.jobs.queue_stats()}
 
-    protocol_version = "HTTP/1.1"
+    def register_database(self, spec: dict) -> tuple[int, dict]:
+        db = database_from_spec(spec)
+        fingerprint = self.service.register_database(db, db.name)
+        return 201, {"name": db.name, "fingerprint": fingerprint}
 
-    # -- plumbing -----------------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # keep test and daemon output clean
-
-    def _send_json(self, payload: dict, status: int = 200) -> None:
-        body = json.dumps(payload).encode()
-        self._last_status = status
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    _KNOWN_PATHS = frozenset(
-        {"/health", "/stats", "/databases", "/explain", "/plan", "/analyze",
-         "/ingest", "/jobs"}
-    )
-
-    def _endpoint(self, method: str) -> str:
-        """A bounded-cardinality endpoint label for the metrics recorder."""
-        path = self.path
-        if path.startswith("/jobs/"):
-            path = "/jobs/{id}"
-        elif path not in self._KNOWN_PATHS:
-            path = "{unknown}"
-        return f"{method} {path}"
-
-    def _timed(self, method: str, route) -> None:
-        """Serve one request through ``route``, recording endpoint metrics."""
-        self._last_status = 200
-        start = time.perf_counter()
-        try:
-            route()
-        finally:
-            self.server.metrics.observe(
-                self._endpoint(method),
-                time.perf_counter() - start,
-                error=self._last_status >= 400,
-            )
-
-    def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length", 0))
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            raise SpecError("empty request body")
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise SpecError(f"invalid JSON body: {exc}") from exc
-
-    def _send_error(self, exc: Exception) -> None:
-        """One typed JSON error envelope per exception -- never a bare 500.
-
-        :class:`SpecError` keeps its own payload (it carries the JSON-pointer
-        path and distinguishes SQL errors); everything else maps through
-        ``_ERROR_STATUS``, with unexpected exceptions reported as a
-        structured 500.
-        """
-        if isinstance(exc, SpecError):
-            self._send_json(exc.to_payload(), status=400)
-            return
-        for exc_type, status in _ERROR_STATUS:
-            if isinstance(exc, exc_type):
-                self._send_json(
-                    error_payload(
-                        type(exc).__name__, str(exc), getattr(exc, "path", "")
-                    ),
-                    status=status,
-                )
-                return
-        self._send_json(
-            error_payload(type(exc).__name__, str(exc)), status=500
-        )
-
-    # -- routes -------------------------------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("GET", self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("POST", self._route_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._timed("DELETE", self._route_delete)
-
-    def _route_get(self) -> None:
-        try:
-            if self.path == "/health":
-                payload = self.server.service.health()
-                queue_stats = self.server.jobs.queue_stats()
-                payload["jobs"] = {
-                    "queue_depth": queue_stats["states"].get("queued", 0),
-                    "running": queue_stats["states"].get("running", 0),
-                    **{
-                        k: queue_stats[k]
-                        for k in ("submitted", "completed", "failed",
-                                  "cancelled", "deduplicated")
-                    },
-                }
-                payload["endpoints"] = self.server.metrics.snapshot()
-                self._send_json(payload)
-            elif self.path == "/stats":
-                self._send_json(
-                    {"service": self.server.service.stats(), "jobs": self.server.jobs.queue_stats()}
-                )
-            elif self.path.startswith("/jobs/"):
-                self._get_job(self.path.removeprefix("/jobs/"))
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        except Exception as exc:  # noqa: BLE001 - surface errors as JSON
-            self._send_error(exc)
-
-    def _route_post(self) -> None:
-        try:
-            if self.path == "/databases":
-                spec = self._read_json()
-                db = database_from_spec(spec)
-                fingerprint = self.server.service.register_database(db, db.name)
-                self._send_json({"name": db.name, "fingerprint": fingerprint}, status=201)
-            elif self.path == "/explain":
-                payload = self._read_json()
-                if isinstance(payload, dict) and "runs" in payload:
-                    request = runs_request_from_payload(payload, self.server.service)
-                else:
-                    request = request_from_payload(
-                        payload, database_resolver=self.server.service.database
-                    )
-                result = self.server.service.explain(request)
-                self._send_json(result.to_dict())
-            elif self.path == "/plan":
-                name, query, run = plan_request_from_payload(
-                    self._read_json(), database_resolver=self.server.service.database
-                )
-                self._send_json(self.server.service.explain_plan(name, query, run=run))
-            elif self.path == "/analyze":
-                name, buckets = analyze_request_from_payload(self._read_json())
-                self._send_json(self.server.service.analyze(name, buckets=buckets))
-            elif self.path == "/ingest":
-                kwargs = ingest_request_from_payload(self._read_json())
-                self._send_json(self.server.service.ingest(**kwargs))
-            elif self.path == "/jobs":
-                payload = self._read_json()
-                request = request_from_payload(
-                    payload, database_resolver=self.server.service.database
-                )
-                # Single-flight: identical concurrent submissions (retries,
-                # duplicate clicks, router failover) coalesce onto one job.
-                job = self.server.jobs.submit(
-                    request, idempotency_key=fingerprint_of(payload)
-                )
-                self._send_json(job.status(), status=202)
-            else:
-                self._send_json(
-                    error_payload("NotFound", f"unknown path {self.path}"), status=404
-                )
-        except Exception as exc:  # noqa: BLE001 - surface pipeline errors as JSON
-            self._send_error(exc)
-
-    def _route_delete(self) -> None:
-        if not self.path.startswith("/jobs/"):
-            self._send_json(
-                error_payload("NotFound", f"unknown path {self.path}"), status=404
-            )
-            return
-        job_id = self.path.removeprefix("/jobs/")
-        job = self.server.jobs.get(job_id)
-        if job is None:
-            self._send_json(
-                error_payload("UnknownJobError", f"unknown job {job_id}"), status=404
-            )
-        elif self.server.jobs.cancel(job_id):
-            # Queued jobs are CANCELLED immediately; running jobs get a
-            # cooperative cancel request honoured at the next checkpoint.
-            self._send_json({"id": job_id, "state": job.state.value,
-                             "cancel_requested": job.cancel_requested})
+    def explain(self, payload: dict) -> dict:
+        if "runs" in payload:
+            request = runs_request_from_payload(payload, self.service)
         else:
-            self._send_json(
-                error_payload(
-                    "JobFinishedError", f"job {job_id} already finished"
-                ),
-                status=409,
-            )
+            request = request_from_payload(payload, database_resolver=self.service.database)
+        return self.service.explain(request).to_dict()
 
-    def _get_job(self, job_id: str) -> None:
-        job = self.server.jobs.get(job_id)
+    def plan(self, payload: dict) -> dict:
+        name, query, run = plan_request_from_payload(
+            payload, database_resolver=self.service.database
+        )
+        return self.service.explain_plan(name, query, run=run)
+
+    def analyze(self, payload: dict) -> dict:
+        name, buckets = analyze_request_from_payload(payload)
+        return self.service.analyze(name, buckets=buckets)
+
+    def ingest(self, payload: dict) -> dict:
+        return self.service.ingest(**ingest_request_from_payload(payload))
+
+    def submit_job(self, payload: dict) -> tuple[int, dict]:
+        request = request_from_payload(payload, database_resolver=self.service.database)
+        # Single-flight: identical concurrent submissions (retries, duplicate
+        # clicks, router failover) coalesce onto one job.
+        job = self.jobs.submit(request, idempotency_key=fingerprint_of(payload))
+        return 202, job.status()
+
+    def job_status(self, job_id: str):
+        job = self.jobs.get(job_id)
         if job is None:
-            self._send_json(
-                error_payload("UnknownJobError", f"unknown job {job_id}"), status=404
-            )
-            return
+            return 404, error_payload("UnknownJobError", f"unknown job {job_id}")
         payload = job.status()
         if job.state is JobState.DONE:
             payload["result"] = job.result.to_dict()
-        self._send_json(payload)
+        return payload
+
+    def cancel_job(self, job_id: str):
+        job = self.jobs.get(job_id)
+        if job is None:
+            return 404, error_payload("UnknownJobError", f"unknown job {job_id}")
+        # Queued jobs are CANCELLED immediately; running jobs get a
+        # cooperative cancel request honoured at the next checkpoint.
+        if not self.jobs.cancel(job_id):
+            return 409, error_payload("JobFinishedError", f"job {job_id} already finished")
+        return {"id": job_id, "state": job.state.value, "cancel_requested": job.cancel_requested}
 
 
 def serve(
@@ -915,9 +748,7 @@ def serve_in_background(
     server = serve(
         service, host=host, port=port, job_workers=job_workers, retry_policy=retry_policy
     )
-    thread = threading.Thread(target=server.serve_forever, name="explain-http", daemon=True)
-    thread.start()
-    return server, thread
+    return start_in_background(server, "explain-http")
 
 
 # ---------------------------------------------------------------------------
@@ -925,39 +756,25 @@ def serve_in_background(
 # ---------------------------------------------------------------------------
 
 class ServiceClient:
-    """A stdlib-only client for the explanation service daemon."""
+    """A stdlib-only client for the explanation service daemon (or the router)."""
 
     def __init__(self, base_url: str, *, timeout: float = 30.0):
         self.base_url = base_url.rstrip("/")
         self.timeout = timeout
 
     def _call(self, method: str, path: str, payload: dict | None = None) -> dict:
-        data = json.dumps(payload).encode() if payload is not None else None
-        request = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            method=method,
-            headers={"Content-Type": "application/json"},
+        status, body = http_json(
+            method, f"{self.base_url}{path}", payload, timeout=self.timeout
         )
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as response:
-                return json.loads(response.read())
-        except urllib.error.HTTPError as exc:
-            body = exc.read()
-            error_type, path = "", ""
-            try:
-                error = json.loads(body).get("error", body.decode(errors="replace"))
-                if isinstance(error, dict):
-                    detail = str(error.get("message", ""))
-                    error_type = str(error.get("type", ""))
-                    path = str(error.get("path", ""))
-                else:
-                    detail = str(error)
-            except (json.JSONDecodeError, AttributeError):
-                detail = body.decode(errors="replace")
-            raise ServiceClientError(
-                exc.code, detail, error_type=error_type, path=path
-            ) from None
+        if status < 400:
+            return body
+        error = body.get("error") or {}
+        raise ServiceClientError(
+            status,
+            str(error.get("message", "")),
+            error_type=str(error.get("type", "")),
+            path=str(error.get("path", "")),
+        )
 
     def health(self) -> dict:
         return self._call("GET", "/health")

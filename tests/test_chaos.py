@@ -769,6 +769,55 @@ class TestLiveIngestChaos:
         assert canon(service) == post  # and the delta is durably visible
 
 
+class TestFleetBroadcastChaos:
+    """A fleet write one pod applied and another refused is reported, named
+    pod by pod, logged for replay, and converged by a retry."""
+
+    def test_partial_ingest_is_a_named_consistency_error(self):
+        from repro.fleet import FleetRouter, StaticWorker, serve_router_in_background
+        from repro.fleet.__main__ import demo_pair
+        from repro.service import ServiceClient, ServiceClientError, serve_in_background
+
+        def url(server) -> str:
+            host, port = server.server_address[:2]
+            return f"http://{host}:{port}"
+
+        pods = [serve_in_background(ExplainService())[0] for _ in range(2)]
+        router = FleetRouter(
+            [StaticWorker(f"w{index}", url(pod)) for index, pod in enumerate(pods)]
+        )
+        http, _ = serve_router_in_background(router)
+        client = ServiceClient(url(http), timeout=60.0)
+        name, records, *_ = demo_pair(0)
+        change = [{"op": "insert", "record": {"Program": "Live", "Degree": "B.S."}}]
+        try:
+            client.register_database(name, records)
+            # Pods share the process-wide injector: w0 applies, w1 faults.
+            FAULTS.arm("live.apply_delta", "raise", every=2)
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.ingest(name, name, change)
+            error = excinfo.value
+            assert (error.status, error.error_type) == (500, "FleetConsistencyError")
+            assert "applied on ['w0']" in error.detail
+            assert "failed on 'w1'" in error.detail and "InjectedFault" in error.detail
+            split = {pod.service.databases()[name] for pod in pods}
+            assert len(split) == 2
+            # w0 holds the delta, so it is logged for replay onto new pods.
+            assert len(router._ingests[name]) == 1
+
+            FAULTS.reset()
+            summary = client.ingest(name, name, change)  # same delta id
+            assert summary["workers"] == ["w0", "w1"]
+            assert {pod.service.databases()[name] for pod in pods} == {summary["fingerprint"]}
+            assert len(router._ingests[name]) == 1
+        finally:
+            http.shutdown()
+            router.shutdown()
+            for pod in pods:
+                pod.shutdown()
+                pod.server_close()
+
+
 class TestJobRetry:
     def test_transient_runner_failures_are_retried(self):
         attempts = []

@@ -177,7 +177,13 @@ class TestChangeSpecs:
         by_position = _relation()
         by_id = _relation()
         apply_changes(by_position, [{"op": "update", "row": 2, "record": {"Score": 30}}])
-        apply_changes(by_id, [{"op": "update", "row_id": "T:2", "record": {"Score": 30}}])
+        # Applied in normalized form, as the service does after validating:
+        # a normalized batch must validate to itself.
+        normalized = validate_change_specs(
+            [{"op": "update", "row_id": "T:2", "record": {"Score": 30}}]
+        )
+        assert validate_change_specs(normalized) == normalized
+        apply_changes(by_id, normalized)
         assert by_position.fingerprint() == by_id.fingerprint()
 
     def test_unknown_column_and_bad_row_surface_as_errors(self):
