@@ -22,7 +22,7 @@ from repro.core.problem import ExplainProblem
 from repro.core.scoring import derive_explanations_from_mapping
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 from repro.solver.backends import MILPSolver, default_solver
-from repro.solver.model import ConstraintSense, LinearExpression, MILPModel, ObjectiveSense
+from repro.solver.model import ConstraintSense, MILPModel, ObjectiveSense, linear_sum
 
 
 class ExactCoverBaseline(DisagreementExplainer):
@@ -63,17 +63,12 @@ class ExactCoverBaseline(DisagreementExplainer):
 
         # Each element is covered at most once (the "exact" cover restriction).
         for left_key, matches in matches_by_left.items():
-            expr = LinearExpression()
-            for match in matches:
-                expr = expr + assign_vars[match.pair]
+            expr = linear_sum(assign_vars[match.pair] for match in matches)
             model.add_constraint(expr, ConstraintSense.LESS_EQUAL, 1.0, f"cover_{left_key}")
 
         # Maximize covered sets + covered elements.
-        objective = LinearExpression()
-        for variable in set_vars.values():
-            objective = objective + variable
-        for variable in assign_vars.values():
-            objective = objective + variable
+        objective = linear_sum(set_vars.values())
+        objective += linear_sum(assign_vars.values())
         model.set_objective(objective, ObjectiveSense.MAXIMIZE)
 
         solution = self.solver.solve(model)

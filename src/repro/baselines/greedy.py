@@ -23,7 +23,12 @@ from dataclasses import dataclass, field
 from repro.baselines.base import DisagreementExplainer
 from repro.core.explanations import ExplanationSet
 from repro.core.problem import ExplainProblem
-from repro.core.scoring import MatchLogProbability, Priors, derive_explanations_from_mapping
+from repro.core.scoring import (
+    MatchLogProbability,
+    Priors,
+    anchor_side,
+    derive_explanations_from_mapping,
+)
 from repro.graphs.bipartite import Side
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 
@@ -84,11 +89,10 @@ class GreedyBaseline(DisagreementExplainer):
         priors = problem.priors
 
         # Orient the component anchors exactly as the MILP does.
-        if relation.right_degree_limited and not relation.left_degree_limited:
-            anchor_side = Side.LEFT
+        anchor = anchor_side(relation)
+        if anchor is Side.LEFT:
             anchor_relation, other_relation = problem.canonical_left, problem.canonical_right
         else:
-            anchor_side = Side.RIGHT
             anchor_relation, other_relation = problem.canonical_right, problem.canonical_left
 
         state = _GreedyState(
@@ -97,16 +101,16 @@ class GreedyBaseline(DisagreementExplainer):
             other_impacts=other_relation.impacts(),
         )
         anchor_limited = (
-            relation.left_degree_limited if anchor_side is Side.LEFT else relation.right_degree_limited
+            relation.left_degree_limited if anchor is Side.LEFT else relation.right_degree_limited
         )
         other_limited = (
-            relation.right_degree_limited if anchor_side is Side.LEFT else relation.left_degree_limited
+            relation.right_degree_limited if anchor is Side.LEFT else relation.left_degree_limited
         )
 
         evidence = TupleMapping()
         for match in problem.mapping.sorted_by_probability():
-            anchor_key = match.right_key if anchor_side is Side.RIGHT else match.left_key
-            other_key = match.left_key if anchor_side is Side.RIGHT else match.right_key
+            anchor_key = match.right_key if anchor is Side.RIGHT else match.left_key
+            other_key = match.left_key if anchor is Side.RIGHT else match.right_key
             if anchor_key not in state.anchor_impacts or other_key not in state.other_impacts:
                 continue
             if anchor_limited and state.anchor_degree.get(anchor_key, 0) >= 1:

@@ -35,17 +35,17 @@ log-probabilities (Equation (9)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from operator import attrgetter
 
-from repro.core.canonical import CanonicalRelation, CanonicalTuple
+from repro.core.canonical import CanonicalRelation
 from repro.core.explanations import ExplanationSet, ProvenanceExplanation, ValueExplanation
-from repro.core.scoring import MatchLogProbability, Priors
+from repro.core.scoring import MatchLogProbability, Priors, anchor_side
 from repro.graphs.bipartite import Side
 from repro.matching.attribute_match import SemanticRelation
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 from repro.solver.backends import MILPSolution, MILPSolver, default_solver
 from repro.solver.linearize import add_equality_indicator
-from repro.solver.model import ConstraintSense, LinearExpression, MILPModel, ObjectiveSense
+from repro.solver.model import ConstraintSense, LinearExpression, MILPModel, ObjectiveSense, linear_sum
 
 _IMPACT_TOLERANCE = 1e-6
 
@@ -81,6 +81,17 @@ class MILPTransformation:
         self.solver = solver or default_solver()
         self.name = name
 
+        # Orientation is fixed by the relation: resolve it once, not per match.
+        self._anchor_side = anchor_side(relation)
+        if self._anchor_side is Side.LEFT:
+            self._anchor_relation, self._other_relation = canonical_left, canonical_right
+            self._anchor_key_of = attrgetter("left_key")
+            self._other_key_of = attrgetter("right_key")
+        else:
+            self._anchor_relation, self._other_relation = canonical_right, canonical_left
+            self._anchor_key_of = attrgetter("right_key")
+            self._other_key_of = attrgetter("left_key")
+
         self._model: MILPModel | None = None
         self._removed_vars: dict[tuple[str, str], object] = {}
         self._anchor_vars: dict[str, _AnchorVariables] = {}
@@ -89,31 +100,16 @@ class MILPTransformation:
     # -- orientation ------------------------------------------------------------------
     def anchor_side(self) -> Side:
         """The side whose tuples may have degree > 1 (component anchors)."""
-        if self.relation.right_degree_limited and not self.relation.left_degree_limited:
-            return Side.LEFT
-        return Side.RIGHT
-
-    def _anchor_relation(self) -> CanonicalRelation:
-        return self.canonical_left if self.anchor_side() is Side.LEFT else self.canonical_right
-
-    def _other_relation(self) -> CanonicalRelation:
-        return self.canonical_right if self.anchor_side() is Side.LEFT else self.canonical_left
-
-    def _anchor_key_of(self, match: TupleMatch) -> str:
-        return match.left_key if self.anchor_side() is Side.LEFT else match.right_key
-
-    def _other_key_of(self, match: TupleMatch) -> str:
-        return match.right_key if self.anchor_side() is Side.LEFT else match.left_key
+        return self._anchor_side
 
     def _usable_matches(self) -> list[TupleMatch]:
         """Matches whose both endpoints lie in this (sub-)problem."""
-        anchor_relation = self._anchor_relation()
-        other_relation = self._other_relation()
-        usable = []
-        for match in self.mapping:
-            if self._anchor_key_of(match) in anchor_relation and self._other_key_of(match) in other_relation:
-                usable.append(match)
-        return usable
+        return [
+            match
+            for match in self.mapping
+            if self._anchor_key_of(match) in self._anchor_relation
+            and self._other_key_of(match) in self._other_relation
+        ]
 
     # -- model construction --------------------------------------------------------------
     def build(self) -> MILPModel:
@@ -124,10 +120,10 @@ class MILPTransformation:
         u = priors.kept_unchanged
         v = priors.kept_changed
 
-        anchor_side = self.anchor_side()
+        anchor_side = self._anchor_side
         other_side = anchor_side.other()
-        anchor_relation = self._anchor_relation()
-        other_relation = self._other_relation()
+        anchor_relation = self._anchor_relation
+        other_relation = self._other_relation
         matches = self._usable_matches()
 
         matches_by_anchor: dict[str, list[TupleMatch]] = {}
@@ -144,7 +140,7 @@ class MILPTransformation:
             removed = model.add_binary(f"x_{tag}")
             self._removed_vars[(other_side.value, canonical_tuple.key)] = removed
             # Equation (8) with the impact fixed: kept tuples keep their impact.
-            objective = objective + u + (a - u) * removed
+            objective += u + (a - u) * removed
 
         # -- anchor tuples: x_t, y_t, I*_t ---------------------------------------------
         for canonical_tuple in anchor_relation:
@@ -177,7 +173,7 @@ class MILPTransformation:
             )
             # Equation (8): a removed tuple scores `a`, a kept unchanged tuple `u`,
             # a kept corrected tuple `v`.
-            objective = objective + v + (a - v) * removed + (u - v) * unchanged
+            objective += v + (a - v) * removed + (u - v) * unchanged
 
         # -- matches: z_ij --------------------------------------------------------------
         for match in matches:
@@ -201,7 +197,7 @@ class MILPTransformation:
                 f"keep_o_{tag}",
             )
             terms = MatchLogProbability.of(match.probability)
-            objective = objective + terms.rejected + (terms.selected - terms.rejected) * selected
+            objective += terms.rejected + (terms.selected - terms.rejected) * selected
 
         # -- Definition 2.5: a kept tuple must have a selected match ----------------------
         for relation, side, by_key in (
@@ -217,7 +213,7 @@ class MILPTransformation:
                     continue
                 gate = LinearExpression.from_variable(removed)
                 for match in incident:
-                    gate = gate + self._match_vars[match.pair]
+                    gate += self._match_vars[match.pair]
                 model.add_constraint(gate, ConstraintSense.GREATER_EQUAL, 1.0, f"matched_{tag}")
 
         # -- Equation (10): valid-mapping cardinality -------------------------------------
@@ -227,11 +223,11 @@ class MILPTransformation:
         for canonical_tuple in anchor_relation:
             incident = matches_by_anchor.get(canonical_tuple.key, [])
             variables = self._anchor_vars[canonical_tuple.key]
-            balance = LinearExpression()
-            for match in incident:
-                impact = other_relation[self._other_key_of(match)].impact
-                balance = balance + impact * self._match_vars[match.pair]
-            balance = balance - variables.refined_impact
+            balance = linear_sum(
+                other_relation[self._other_key_of(match)].impact * self._match_vars[match.pair]
+                for match in incident
+            )
+            balance -= variables.refined_impact
             model.add_constraint(
                 balance, ConstraintSense.EQUAL, 0.0, f"balance_{anchor_side.value}[{canonical_tuple.key}]"
             )
@@ -241,28 +237,20 @@ class MILPTransformation:
         return model
 
     def _add_degree_constraints(self, model, matches_by_anchor, matches_by_other) -> None:
-        anchor_side = self.anchor_side()
         anchor_limited = (
             self.relation.left_degree_limited
-            if anchor_side is Side.LEFT
+            if self._anchor_side is Side.LEFT
             else self.relation.right_degree_limited
         )
         # The non-anchor side is degree-limited by construction of the anchor choice.
-        for key, incident in matches_by_other.items():
-            if len(incident) <= 1:
-                continue
-            expr = LinearExpression()
-            for match in incident:
-                expr = expr + self._match_vars[match.pair]
-            model.add_constraint(expr, ConstraintSense.LESS_EQUAL, 1.0, f"deg_o_{key}")
+        limited = {"o": matches_by_other}
         if anchor_limited:
-            for key, incident in matches_by_anchor.items():
-                if len(incident) <= 1:
-                    continue
-                expr = LinearExpression()
-                for match in incident:
-                    expr = expr + self._match_vars[match.pair]
-                model.add_constraint(expr, ConstraintSense.LESS_EQUAL, 1.0, f"deg_a_{key}")
+            limited["a"] = matches_by_anchor
+        for label, by_key in limited.items():
+            for key, incident in by_key.items():
+                if len(incident) > 1:
+                    expr = linear_sum(self._match_vars[match.pair] for match in incident)
+                    model.add_constraint(expr, ConstraintSense.LESS_EQUAL, 1.0, f"deg_{label}_{key}")
 
     # -- solving and decoding ---------------------------------------------------------------
     def solve(self) -> ExplanationSet:
@@ -278,8 +266,7 @@ class MILPTransformation:
         provenance: list[ProvenanceExplanation] = []
         value: list[ValueExplanation] = []
         evidence = TupleMapping()
-        anchor_side = self.anchor_side()
-        anchor_relation = self._anchor_relation()
+        anchor_relation = self._anchor_relation
 
         for (side_value, key), variable in self._removed_vars.items():
             if solution.binary(variable.name):
@@ -292,7 +279,7 @@ class MILPTransformation:
             refined = solution.value(variables.refined_impact.name)
             if canonical_tuple is not None and abs(refined - canonical_tuple.impact) > _IMPACT_TOLERANCE:
                 value.append(
-                    ValueExplanation(anchor_side, key, canonical_tuple.impact, round(refined, 6))
+                    ValueExplanation(self._anchor_side, key, canonical_tuple.impact, round(refined, 6))
                 )
 
         for pair, variable in self._match_vars.items():
@@ -306,10 +293,6 @@ class MILPTransformation:
             evidence=evidence,
             objective=solution.objective,
         )
-
-    def _lookup(self, side: Side, key: str) -> Optional[CanonicalTuple]:
-        relation = self.canonical_left if side is Side.LEFT else self.canonical_right
-        return relation.get(key)
 
     # -- introspection -----------------------------------------------------------------------
     @property

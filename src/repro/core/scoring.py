@@ -16,7 +16,9 @@ provides:
   by tests that cross-check the MILP optimum);
 * :func:`derive_explanations_from_mapping` -- the deterministic construction
   of explanations implied by a chosen evidence mapping, used by the record
-  linkage baselines (RSWOOSH, THRESHOLD, GREEDY).
+  linkage baselines (RSWOOSH, THRESHOLD, GREEDY);
+* :func:`anchor_side` -- which side anchors the components of a valid
+  mapping, shared by that construction, GREEDY and the MILP.
 
 Note on Equation (8): the paper's text assigns ``b = log(alpha) + log(beta)``
 to the ``y = 0`` branch and ``c = log(alpha) + log(1 - beta)`` to ``y = 1``,
@@ -109,6 +111,8 @@ def _match_log_terms(probability: float) -> MatchLogProbability:
     """Memoized construction: match probabilities repeat heavily (calibration
     buckets them), and ``of`` is called per match in scoring, MILP building and
     partition merging."""
+    if math.isnan(probability):
+        raise ValueError("match probability is NaN")
     probability = _clamp(probability)
     return MatchLogProbability(math.log(probability), math.log(1.0 - probability))
 
@@ -254,6 +258,18 @@ def is_complete(
     )
 
 
+def anchor_side(relation: SemanticRelation) -> Side:
+    """The side whose tuples anchor the components of a valid mapping.
+
+    Anchors are the tuples that may have degree > 1: the left side when the
+    relation limits right degrees but not left degrees (one-to-many, left
+    more general), the right side otherwise (many-to-one or equivalence).
+    """
+    if relation.right_degree_limited and not relation.left_degree_limited:
+        return Side.LEFT
+    return Side.RIGHT
+
+
 def derive_explanations_from_mapping(
     canonical_left: CanonicalRelation,
     canonical_right: CanonicalRelation,
@@ -285,19 +301,18 @@ def derive_explanations_from_mapping(
             provenance.append(ProvenanceExplanation(Side.RIGHT, canonical_tuple.key))
 
     value: list[ValueExplanation] = []
-    if relation.right_degree_limited and not relation.left_degree_limited:
-        # One-to-many (left more general): components are anchored on left tuples.
-        anchor_side, anchor_relation, other_relation = Side.LEFT, canonical_left, canonical_right
+    anchor = anchor_side(relation)
+    if anchor is Side.LEFT:
+        anchor_relation, other_relation = canonical_left, canonical_right
         anchored = matched_left
         other_key = "right_key"
     else:
-        # Many-to-one or equivalence: components anchored on right tuples.
-        anchor_side, anchor_relation, other_relation = Side.RIGHT, canonical_right, canonical_left
+        anchor_relation, other_relation = canonical_right, canonical_left
         anchored = matched_right
         other_key = "left_key"
 
-    for anchor, matches in anchored.items():
-        anchor_tuple = anchor_relation.get(anchor)
+    for anchor_key, matches in anchored.items():
+        anchor_tuple = anchor_relation.get(anchor_key)
         if anchor_tuple is None:
             continue
         other_total = 0.0
@@ -307,7 +322,7 @@ def derive_explanations_from_mapping(
                 other_total += other.impact
         if abs(other_total - anchor_tuple.impact) > tolerance:
             value.append(
-                ValueExplanation(anchor_side, anchor, anchor_tuple.impact, other_total)
+                ValueExplanation(anchor, anchor_key, anchor_tuple.impact, other_total)
             )
 
     return ExplanationSet(provenance=provenance, value=value, evidence=TupleMapping(mapping))

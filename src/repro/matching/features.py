@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 from scipy import sparse
 
-from repro.matching.similarity import tokenize
+from repro.matching.similarity import normalized_euclidean_similarity, tokenize
 
 _EMPTY: frozenset[str] = frozenset()
 
@@ -116,8 +116,7 @@ def pair_similarity(
         a = left.attribute_position(left_attr)
         b = right.attribute_position(right_attr)
         if left.is_numeric[a, i] and right.is_numeric[b, j]:
-            difference = left.numeric[a, i] - right.numeric[b, j]
-            total += 1.0 / (1.0 + difference * difference)
+            total += normalized_euclidean_similarity(left.numeric[a, i], right.numeric[b, j])
             continue
         left_tokens = left.tokens[a][i]
         right_tokens = right.tokens[b][j]
@@ -198,15 +197,17 @@ class BatchScorer:
             )
             both_numeric = self.left.is_numeric[a][ii] & self.right.is_numeric[b][jj]
             if both_numeric.any():
-                # Compute the Euclidean branch only over both-numeric pairs:
-                # evaluating it for every pair would trip overflow/invalid
-                # warnings on inf/nan placeholders the pair never uses.
                 numeric_at = np.flatnonzero(both_numeric)
-                difference = (
-                    self.left.numeric[a][ii[numeric_at]]
-                    - self.right.numeric[b][jj[numeric_at]]
-                )
-                similarities[numeric_at] = 1.0 / (1.0 + difference * difference)
+                left_values = self.left.numeric[a][ii[numeric_at]]
+                right_values = self.right.numeric[b][jj[numeric_at]]
+                # Overflow goes quietly to inf (similarity 0) as with Python
+                # floats; non-finite pairs get the scalar path's 1.0 or 0.0.
+                with np.errstate(over="ignore", invalid="ignore"):
+                    difference = left_values - right_values
+                    euclidean = 1.0 / (1.0 + difference * difference)
+                finite = np.isfinite(left_values) & np.isfinite(right_values)
+                same = (left_values == right_values) | (np.isnan(left_values) & np.isnan(right_values))
+                similarities[numeric_at] = np.where(finite, euclidean, same)
             total += similarities
         return total / len(self.attribute_pairs)
 

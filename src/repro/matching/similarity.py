@@ -13,6 +13,7 @@ results are bit-identical to these functions.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Iterable, Sequence
 
@@ -39,13 +40,21 @@ def token_jaccard(left, right) -> float:
 
 
 def normalized_euclidean_similarity(left, right) -> float:
-    """``1 / (1 + |a - b|^2)`` similarity for numeric attributes."""
+    """``1 / (1 + |a - b|^2)`` similarity for numeric attributes.
+
+    Non-finite values follow the run aligner's equality: NaN agrees with NaN
+    and an infinity only with itself (1.0); any other pair involving a
+    non-finite value scores 0.0.
+    """
     if left is None or right is None:
         return 0.0
     try:
-        difference = float(left) - float(right)
+        left, right = float(left), float(right)
     except (TypeError, ValueError):
         return 0.0
+    if not (math.isfinite(left) and math.isfinite(right)):
+        return 1.0 if left == right or (left != left and right != right) else 0.0
+    difference = left - right
     return 1.0 / (1.0 + difference * difference)
 
 

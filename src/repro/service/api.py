@@ -85,6 +85,7 @@ serves too.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import fields
 
@@ -423,9 +424,17 @@ def mapping_from_spec(spec: list, path: str = "") -> TupleMapping:
                 f"mapping entries are [left, right, probability]: {entry!r}",
                 f"{path}/{index}",
             )
-        left, right, probability = entry[0], entry[1], float(entry[2])
-        similarity = float(entry[3]) if len(entry) > 3 else 0.0
-        mapping.add(TupleMatch(str(left), str(right), probability, similarity))
+        try:
+            probability = float(entry[2])
+            similarity = float(entry[3]) if len(entry) > 3 else 0.0
+        except (TypeError, ValueError) as exc:
+            raise SpecError(
+                f"mapping probability and similarity must be numbers: {entry!r}", f"{path}/{index}"
+            ) from exc
+        # JSON parsers accept NaN/Infinity; a non-finite probability has no log-odds.
+        if not math.isfinite(probability):
+            raise SpecError(f"mapping probability must be finite: {entry!r}", f"{path}/{index}")
+        mapping.add(TupleMatch(str(entry[0]), str(entry[1]), probability, similarity))
     return mapping
 
 

@@ -4,12 +4,13 @@ The paper solves the EXP-3D optimization with IBM CPLEX.  CPLEX is proprietary
 and unavailable offline, so this subpackage provides the solving substrate:
 
 * :mod:`repro.solver.model` -- variables, linear expressions, constraints and
-  the :class:`~repro.solver.model.MILPModel` container.
-* :mod:`repro.solver.linearize` -- big-M linearization helpers for the
-  products of binary and continuous variables that appear in the paper's
-  Equations (8) and (11).
-* :mod:`repro.solver.lp` -- LP relaxation solving on top of
-  ``scipy.optimize.linprog`` (HiGHS).
+  the :class:`~repro.solver.model.MILPModel` container, which exports one
+  sparse form (a CSR matrix with row bounds, variable bounds and integrality)
+  that both backends read.
+* :mod:`repro.solver.linearize` -- the big-M linearization of the paper's
+  Equation (7) indicator.
+* :mod:`repro.solver.lp` -- LP relaxation solving through
+  ``scipy.optimize.milp`` (HiGHS) with no integrality.
 * :mod:`repro.solver.branch_and_bound` -- a pure-Python branch-and-bound MILP
   solver built on the LP relaxation.
 * :mod:`repro.solver.backends` -- a common interface with two interchangeable
@@ -29,11 +30,7 @@ from repro.solver.model import (
 from repro.solver.lp import LPResult, LPStatus, solve_lp_relaxation
 from repro.solver.branch_and_bound import BranchAndBoundSolver
 from repro.solver.backends import HighsSolver, MILPSolution, MILPSolver, SolverError, default_solver
-from repro.solver.linearize import (
-    add_binary_product,
-    add_equality_indicator,
-    add_product_with_binary,
-)
+from repro.solver.linearize import add_equality_indicator
 
 __all__ = [
     "Variable",
@@ -52,7 +49,5 @@ __all__ = [
     "MILPSolution",
     "SolverError",
     "default_solver",
-    "add_binary_product",
-    "add_product_with_binary",
     "add_equality_indicator",
 ]

@@ -69,21 +69,8 @@ class HighsSolver:
 
     def solve(self, model: MILPModel) -> MILPSolution:
         arrays = model.to_arrays()
-        n = model.num_variables
-        if n == 0:
+        if model.num_variables == 0:
             return MILPSolution(objective=arrays["objective_offset"], values={})
-
-        constraints = []
-        if arrays["A_ub"] is not None:
-            constraints.append(
-                LinearConstraint(arrays["A_ub"], -np.inf * np.ones(len(arrays["b_ub"])), arrays["b_ub"])
-            )
-        if arrays["A_eq"] is not None:
-            constraints.append(
-                LinearConstraint(arrays["A_eq"], arrays["b_eq"], arrays["b_eq"])
-            )
-        lower = np.array([bound[0] for bound in arrays["bounds"]], dtype=float)
-        upper = np.array([bound[1] for bound in arrays["bounds"]], dtype=float)
 
         options = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:
@@ -91,8 +78,8 @@ class HighsSolver:
 
         result = milp(
             c=arrays["c"],
-            constraints=constraints or None,
-            bounds=ScipyBounds(lower, upper),
+            constraints=LinearConstraint(arrays["A"], arrays["row_lower"], arrays["row_upper"]),
+            bounds=ScipyBounds(arrays["lower"], arrays["upper"]),
             integrality=arrays["integrality"],
             options=options,
         )

@@ -1,7 +1,8 @@
 """A pure-Python branch-and-bound MILP solver.
 
-The solver repeatedly solves LP relaxations (via HiGHS' simplex through
-``scipy.optimize.linprog``), branches on the most fractional integral variable
+The solver repeatedly solves LP relaxations (via HiGHS through
+``scipy.optimize.milp`` with no integrality, reading the same sparse arrays as
+the HiGHS MIP backend), branches on the most fractional integral variable
 and prunes nodes whose relaxation bound cannot improve on the incumbent.  It is
 exact on the problem sizes produced by Explain3D's smart partitioning and
 serves as the reference backend in tests; the HiGHS MIP backend in

@@ -1,66 +1,15 @@
-"""Big-M linearization helpers.
+"""Big-M linearization of the Equation (7) indicator.
 
-The paper's MILP formulation contains two kinds of non-linear terms:
-
-* products of a binary variable with a bounded continuous/integer expression
-  (Equations (8) and (11)), linearized with the four standard big-M
-  inequalities;
-* the indicator ``y = (I* == I)`` of Equation (7), linearized so that ``y = 1``
-  forces ``I* = I`` (the objective then rewards ``y = 1`` whenever it is
-  admissible).
+The paper's MILP formulation needs the indicator ``y = (I* == I)`` of
+Equation (7), linearized so that ``y = 1`` forces ``I* = I`` (the objective
+then rewards ``y = 1`` whenever it is admissible).  The binary-times-continuous
+products of Equations (8) and (11) never appear: the strengthened formulation
+in :mod:`repro.core.milp_model` multiplies binaries by constants only.
 """
 
 from __future__ import annotations
 
 from repro.solver.model import ConstraintSense, LinearExpression, MILPModel, Variable
-
-
-def add_product_with_binary(
-    model: MILPModel,
-    name: str,
-    binary: Variable,
-    factor,
-    lower: float,
-    upper: float,
-) -> Variable:
-    """Add ``product = binary * factor`` where ``factor`` is in ``[lower, upper]``.
-
-    Follows the linearization of Equation (8)/(11) in the paper:
-
-    ``lower * b <= product <= upper * b`` and
-    ``factor - upper * (1 - b) <= product <= factor - lower * (1 - b)``.
-    """
-    if lower > upper:
-        raise ValueError(f"invalid factor range for {name}: [{lower}, {upper}]")
-    if isinstance(factor, Variable):
-        factor = LinearExpression.from_variable(factor)
-    product = model.add_continuous(name, lower=min(lower, 0.0), upper=max(upper, 0.0))
-
-    model.add_constraint(product - upper * binary, ConstraintSense.LESS_EQUAL, 0.0, f"{name}_ub_b")
-    model.add_constraint(product - lower * binary, ConstraintSense.GREATER_EQUAL, 0.0, f"{name}_lb_b")
-    # product <= factor - lower*(1-b)  <=>  product - factor - lower*b <= -lower
-    model.add_constraint(
-        product - factor - lower * binary, ConstraintSense.LESS_EQUAL, -lower, f"{name}_ub_f"
-    )
-    # product >= factor - upper*(1-b)  <=>  product - factor - upper*b >= -upper
-    model.add_constraint(
-        product - factor - upper * binary, ConstraintSense.GREATER_EQUAL, -upper, f"{name}_lb_f"
-    )
-    return product
-
-
-def add_binary_product(model: MILPModel, name: str, left: Variable, right: Variable) -> Variable:
-    """Add ``w = left * right`` for two binary variables.
-
-    Standard linearization: ``w <= left``, ``w <= right``, ``w >= left + right - 1``.
-    """
-    product = model.add_binary(name)
-    model.add_constraint(product - left, ConstraintSense.LESS_EQUAL, 0.0, f"{name}_le_l")
-    model.add_constraint(product - right, ConstraintSense.LESS_EQUAL, 0.0, f"{name}_le_r")
-    model.add_constraint(
-        product - left - right, ConstraintSense.GREATER_EQUAL, -1.0, f"{name}_ge_sum"
-    )
-    return product
 
 
 def add_equality_indicator(

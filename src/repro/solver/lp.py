@@ -1,4 +1,4 @@
-"""LP relaxation solving on top of ``scipy.optimize.linprog`` (HiGHS)."""
+"""LP relaxation solving through ``scipy.optimize.milp`` (HiGHS) with no integrality."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 
 class LPStatus(enum.Enum):
@@ -36,7 +36,7 @@ class LPResult:
 
 _STATUS_BY_CODE = {
     0: LPStatus.OPTIMAL,
-    1: LPStatus.ERROR,       # iteration limit
+    1: LPStatus.ERROR,       # iteration or time limit
     2: LPStatus.INFEASIBLE,
     3: LPStatus.UNBOUNDED,
     4: LPStatus.ERROR,
@@ -50,29 +50,25 @@ def solve_lp_relaxation(arrays: dict, *, extra_bounds: dict[int, tuple[float, fl
     branch-and-bound solver tightens bounds along each branch without copying
     the whole model.
     """
-    bounds = list(arrays["bounds"])
+    lower, upper = arrays["lower"], arrays["upper"]
     if extra_bounds:
-        for index, bound in extra_bounds.items():
-            lower = max(bounds[index][0], bound[0])
-            upper = min(bounds[index][1], bound[1])
-            if lower > upper:
+        lower, upper = lower.copy(), upper.copy()
+        for index, (bound_lower, bound_upper) in extra_bounds.items():
+            lower[index] = max(lower[index], bound_lower)
+            upper[index] = min(upper[index], bound_upper)
+            if lower[index] > upper[index]:
                 return LPResult(LPStatus.INFEASIBLE, float("nan"), None)
-            bounds[index] = (lower, upper)
 
-    result = linprog(
+    result = milp(
         c=arrays["c"],
-        A_ub=arrays["A_ub"],
-        b_ub=arrays["b_ub"],
-        A_eq=arrays["A_eq"],
-        b_eq=arrays["b_eq"],
-        bounds=bounds,
-        method="highs",
+        constraints=LinearConstraint(arrays["A"], arrays["row_lower"], arrays["row_upper"]),
+        bounds=Bounds(lower, upper),
     )
     status = _STATUS_BY_CODE.get(result.status, LPStatus.ERROR)
     if status is not LPStatus.OPTIMAL or result.x is None:
         return LPResult(status, float("nan"), None)
 
-    # linprog minimizes sign * objective; convert back to the model's sense.
+    # milp minimizes sign * objective; convert back to the model's sense.
     sign = arrays["objective_sign"]
     objective = sign * result.fun + arrays["objective_offset"]
     return LPResult(LPStatus.OPTIMAL, float(objective), np.asarray(result.x))

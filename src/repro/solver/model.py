@@ -2,18 +2,19 @@
 
 The modeling objects are deliberately small and self-contained: variables,
 linear expressions (sparse coefficient maps plus a constant), constraints and
-a :class:`MILPModel` that can export itself to the dense matrix form expected
-by LP solvers.
+a :class:`MILPModel` that exports itself to the sparse row-bounded matrix form
+read by both solver backends.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
+from scipy import sparse
 
 
 class VariableType(enum.Enum):
@@ -113,12 +114,18 @@ class LinearExpression:
             return LinearExpression.constant_expression(float(other))
         raise TypeError(f"cannot combine LinearExpression with {type(other).__name__}")
 
-    def __add__(self, other) -> "LinearExpression":
+    def __iadd__(self, other) -> "LinearExpression":
+        """Add ``other`` in place: accumulating ``k`` terms costs O(k), not O(k^2)."""
         other = self._coerce(other)
-        result = self.copy()
+        coefficients = self.coefficients
         for index, coefficient in other.coefficients.items():
-            result.coefficients[index] = result.coefficients.get(index, 0.0) + coefficient
-        result.constant += other.constant
+            coefficients[index] = coefficients.get(index, 0.0) + coefficient
+        self.constant += other.constant
+        return self
+
+    def __add__(self, other) -> "LinearExpression":
+        result = self.copy()
+        result += other
         return result
 
     def __radd__(self, other) -> "LinearExpression":
@@ -163,7 +170,7 @@ def linear_sum(terms: Iterable) -> LinearExpression:
     """Sum variables/expressions/constants into a single expression."""
     result = LinearExpression()
     for term in terms:
-        result = result + term
+        result += term
     return result
 
 
@@ -287,52 +294,53 @@ class MILPModel:
 
     # -- export to matrix form ----------------------------------------------------
     def to_arrays(self) -> dict:
-        """Dense matrix form used by the LP relaxation and the HiGHS backend.
+        """Sparse matrix form read by both solver backends.
 
-        The returned objective is always expressed for *minimization* (negated
-        when the model maximizes); ``objective_offset`` carries the constant
-        term which solvers ignore.
+        The constraints become ``row_lower <= A @ x <= row_upper`` with ``A``
+        in CSR form: a ``<=`` row has an infinite lower bound, a ``>=`` row an
+        infinite upper bound and an ``==`` row two equal bounds.  Variable
+        bounds are the ``lower``/``upper`` vectors.  The objective ``c`` is
+        always expressed for *minimization* (negated when the model
+        maximizes); ``objective_offset`` carries the constant term which
+        solvers ignore.
         """
-        n = self.num_variables
-        c = np.zeros(n)
-        for index, coefficient in self.objective.coefficients.items():
-            c[index] = coefficient
         sign = -1.0 if self.objective_sense is ObjectiveSense.MAXIMIZE else 1.0
-        c = sign * c
+        c = np.zeros(self.num_variables)
+        for index, coefficient in self.objective.coefficients.items():
+            c[index] = sign * coefficient
 
-        a_ub_rows: list[np.ndarray] = []
-        b_ub: list[float] = []
-        a_eq_rows: list[np.ndarray] = []
-        b_eq: list[float] = []
+        indptr = [0]
+        indices: list[int] = []
+        data: list[float] = []
+        row_lower: list[float] = []
+        row_upper: list[float] = []
         for constraint in self.constraints:
-            row = np.zeros(n)
-            for index, coefficient in constraint.expression.coefficients.items():
-                row[index] = coefficient
+            coefficients = constraint.expression.coefficients
+            indices.extend(coefficients)
+            data.extend(coefficients.values())
+            indptr.append(len(indices))
             rhs = constraint.rhs - constraint.expression.constant
-            if constraint.sense is ConstraintSense.LESS_EQUAL:
-                a_ub_rows.append(row)
-                b_ub.append(rhs)
-            elif constraint.sense is ConstraintSense.GREATER_EQUAL:
-                a_ub_rows.append(-row)
-                b_ub.append(-rhs)
-            else:
-                a_eq_rows.append(row)
-                b_eq.append(rhs)
-
-        bounds = [(variable.lower, variable.upper) for variable in self.variables]
-        integrality = np.array(
-            [1 if variable.vartype.is_integral else 0 for variable in self.variables]
+            sense = constraint.sense
+            row_lower.append(-math.inf if sense is ConstraintSense.LESS_EQUAL else rhs)
+            row_upper.append(math.inf if sense is ConstraintSense.GREATER_EQUAL else rhs)
+        matrix = sparse.csr_array(
+            (np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr),
+            shape=(self.num_constraints, self.num_variables),
         )
+        matrix.eliminate_zeros()  # a coefficient that cancelled to 0.0 is no entry
+
         return {
             "c": c,
             "objective_sign": sign,
             "objective_offset": self.objective.constant,
-            "A_ub": np.vstack(a_ub_rows) if a_ub_rows else None,
-            "b_ub": np.array(b_ub) if b_ub else None,
-            "A_eq": np.vstack(a_eq_rows) if a_eq_rows else None,
-            "b_eq": np.array(b_eq) if b_eq else None,
-            "bounds": bounds,
-            "integrality": integrality,
+            "A": matrix,
+            "row_lower": np.array(row_lower, dtype=float),
+            "row_upper": np.array(row_upper, dtype=float),
+            "lower": np.array([variable.lower for variable in self.variables], dtype=float),
+            "upper": np.array([variable.upper for variable in self.variables], dtype=float),
+            "integrality": np.array(
+                [1 if variable.vartype.is_integral else 0 for variable in self.variables]
+            ),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -110,6 +110,10 @@ class TestPriors:
         assert math.isfinite(terms.rejected)
         assert terms.selected > terms.rejected
 
+    def test_match_log_probability_rejects_nan(self):
+        with pytest.raises(ValueError):
+            MatchLogProbability.of(float("nan"))
+
 
 class TestValidityAndCompleteness:
     def test_mapping_validity_equivalence(self):

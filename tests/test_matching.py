@@ -1,5 +1,7 @@
 """Unit tests for similarity, blocking, tuple matching and calibration."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,7 @@ from repro.matching.similarity import (
     token_containment,
     token_jaccard,
     tokenize,
+    value_similarity,
 )
 from repro.matching.tuple_matching import CandidateMatch, TupleMapping, TupleMatch, generate_candidates
 
@@ -38,6 +41,18 @@ class TestSimilarity:
         assert normalized_euclidean_similarity(3, 3) == 1.0
         assert normalized_euclidean_similarity(3, 4) == pytest.approx(0.5)
         assert normalized_euclidean_similarity(None, 4) == 0.0
+
+    def test_non_finite_values_follow_the_aligner_equality(self):
+        nan, inf = math.nan, math.inf
+        # NaN agrees with NaN, an infinity only with itself.
+        for value in (nan, inf, -inf):
+            assert value_similarity(value, value) == 1.0
+            assert normalized_euclidean_similarity(value, float(value)) == 1.0
+        for left, right in [(inf, -inf), (nan, 1.0), (2, nan), (nan, inf), (inf, 1e308), (-inf, 0)]:
+            assert value_similarity(left, right) == 0.0
+            assert value_similarity(right, left) == 0.0
+        # A finite difference too large for a float overflows to similarity 0.
+        assert value_similarity(1e308, -1e308) == 0.0
 
     def test_combined_similarity_mixes_types(self):
         left = {"title": "Alpha Movie", "year": 1999}

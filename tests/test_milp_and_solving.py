@@ -4,15 +4,19 @@ import pytest
 
 from repro.core.explanations import ExplanationSet
 from repro.core.milp_model import MILPTransformation
-from repro.core.partitioning import PartitionedSolver, SolveConfig
+from repro.core.partitioning import PartitionedSolver, SolveConfig, _restrict_by_partition
 from repro.core.problem import ExplainProblem, NotComparableError, build_problem
 from repro.core.scoring import ExplanationScorer, Priors, is_complete
 from repro.core.canonical import CanonicalRelation, CanonicalTuple
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_pair
 from repro.graphs.bipartite import Side
+from repro.graphs.smart_partition import SmartPartitioner
 from repro.matching.attribute_match import AttributeMatching, SemanticRelation, matching
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 from repro.relational.executor import Database
 from repro.relational.query import Scan, count_query
+from repro.solver.backends import BnBSolverBackend, HighsSolver
+from repro.solver.model import ConstraintSense
 
 
 def make_canonical(side: Side, label: str, impacts: dict[str, float]) -> CanonicalRelation:
@@ -310,3 +314,59 @@ class TestBuildProblem:
         )
         assert len(problem.mapping) > 0
         assert all(0.0 < m.probability < 1.0 for m in problem.mapping)
+
+
+class TestBackendCrossCheck:
+    """HiGHS and the branch-and-bound twin agree on EXP-3D models.
+
+    Unlike knapsacks (only <= rows over [0, 1] variables), these models carry
+    == rows (balances, forced removals), >= rows (Definition 2.5 gates, the
+    lower half of Equation (7)) and refined impacts ``I*`` with negative
+    lower bounds, all through the one sparse export both backends read.
+    """
+
+    @staticmethod
+    def assert_backends_agree(transformation: MILPTransformation):
+        model = transformation.build()
+        highs = HighsSolver().solve(model)
+        bnb = BnBSolverBackend().solve(model)
+        assert highs.objective == pytest.approx(bnb.objective, abs=1e-6)
+        for solution in (highs, bnb):
+            assert model.is_feasible([solution[v.name] for v in model.variables])
+        return model
+
+    def test_figure1(self, figure1_problem):
+        model = self.assert_backends_agree(MILPTransformation(
+            figure1_problem.canonical_left, figure1_problem.canonical_right,
+            figure1_problem.mapping, figure1_problem.relation, figure1_problem.priors,
+        ))
+        senses = {constraint.sense for constraint in model.constraints}
+        assert senses == set(ConstraintSense)
+
+    @pytest.mark.parametrize("relation", list(SemanticRelation))
+    def test_negative_impacts(self, relation):
+        problem = make_problem(
+            {"A": -3.0, "B": 2.0, "C": -1.0},
+            {"a": -1.0, "b": -2.0, "c": 2.0, "d": 4.0},
+            [("A", "a", 0.9), ("A", "b", 0.8), ("B", "c", 0.95), ("C", "d", 0.6), ("B", "d", 0.3)],
+            relation=relation,
+        )
+        model = self.assert_backends_agree(MILPTransformation(
+            problem.canonical_left, problem.canonical_right, problem.mapping,
+            problem.relation, problem.priors,
+        ))
+        assert any(v.name.startswith("istar_") and v.lower < 0 for v in model.variables)
+
+    def test_smart_partitions_of_a_synthetic_pair(self):
+        pair = generate_synthetic_pair(
+            SyntheticConfig(num_tuples=40, vocabulary_size=60, difference_ratio=0.2, seed=3)
+        )
+        problem, _ = pair.build_problem()
+        partitions = SmartPartitioner(batch_size=12).partition(problem.match_graph()).partitions
+        assert len(partitions) > 1
+        for index, (left, right, mapping) in enumerate(
+            zip(*_restrict_by_partition(problem, list(partitions)))
+        ):
+            self.assert_backends_agree(MILPTransformation(
+                left, right, mapping, problem.relation, problem.priors, name=f"part{index}"
+            ))

@@ -69,18 +69,34 @@ MIXED_RIGHT = [
 ]
 
 
+#: NaN, +-inf and overflowing differences next to finite numbers.
+NON_FINITE_LEFT = [
+    _Entity("n0", {"name": "nan", "year": math.nan, "note": math.inf}),
+    _Entity("n1", {"name": "inf", "year": math.inf, "note": -math.inf}),
+    _Entity("n2", {"name": None, "year": -math.inf, "note": math.nan}),
+    _Entity("n3", {"name": "big", "year": 1e308, "note": 3.0}),
+]
+
+NON_FINITE_RIGHT = [
+    _Entity("m0", {"name": "nan", "year": math.nan, "note": 1.0}),
+    _Entity("m1", {"name": None, "year": math.inf, "note": -math.inf}),
+    _Entity("m2", {"name": "x", "year": -math.inf, "note": math.inf}),
+    _Entity("m3", {"name": "big", "year": -1e308, "note": math.nan}),
+]
+
+
 class TestVectorizedKernel:
     def test_batch_similarity_bit_identical_to_scalar(self):
-        left = TupleFeatureCache.from_tuples(MIXED_LEFT, [p[0] for p in ATTRIBUTE_PAIRS])
-        right = TupleFeatureCache.from_tuples(MIXED_RIGHT, [p[1] for p in ATTRIBUTE_PAIRS])
-        ii, jj = zip(*all_pairs(MIXED_LEFT, MIXED_RIGHT))
+        lefts, rights = MIXED_LEFT + NON_FINITE_LEFT, MIXED_RIGHT + NON_FINITE_RIGHT
+        left = TupleFeatureCache.from_tuples(lefts, [p[0] for p in ATTRIBUTE_PAIRS])
+        right = TupleFeatureCache.from_tuples(rights, [p[1] for p in ATTRIBUTE_PAIRS])
+        ii, jj = zip(*all_pairs(lefts, rights))
         batched = batch_similarity(left, right, ATTRIBUTE_PAIRS, ii, jj)
         for k, (i, j) in enumerate(zip(ii, jj)):
-            scalar = combined_similarity(
-                MIXED_LEFT[i].values, MIXED_RIGHT[j].values, ATTRIBUTE_PAIRS
-            )
+            scalar = combined_similarity(lefts[i].values, rights[j].values, ATTRIBUTE_PAIRS)
             assert batched[k] == scalar, (i, j)
             assert pair_similarity(left, right, i, j, ATTRIBUTE_PAIRS) == scalar, (i, j)
+        assert not np.isnan(batched).any()
 
     def test_blocker_covers_every_nonzero_similarity_pair(self):
         blocker = TokenBlocker(ATTRIBUTE_PAIRS)

@@ -136,6 +136,10 @@ class TestSpecCompilation:
         mapping = mapping_from_spec([["T1:0", "T2:0", 0.95, 0.8]])
         match = next(iter(mapping))
         assert match.probability == 0.95 and match.similarity == 0.8
+        for bad in (float("nan"), float("inf"), "likely"):
+            with pytest.raises(SpecError) as excinfo:
+                mapping_from_spec([["T1:0", "T2:0", 0.95], ["T1:1", "T2:1", bad]], "/tuple_mapping")
+            assert excinfo.value.path == "/tuple_mapping/1"
         config = config_from_spec({"partitioning": "none", "priors": {"alpha": 0.9, "beta": 0.9}})
         assert config.partitioning == "none"
         assert config.priors == Priors(0.9, 0.9)
@@ -562,6 +566,17 @@ class TestTypedErrorResponses:
         assert body["error"]["type"] == "SpecError"
         assert body["error"]["path"] == "/on_deadline"
         assert body["error"]["message"]
+
+    @pytest.mark.parametrize("probability", [float("nan"), float("-inf")])
+    @pytest.mark.parametrize("left_key", ["T1:1", "T1:99"])  # matched key, key not in T1
+    def test_non_finite_probability_is_400(self, running_server, probability, left_key):
+        bad = dict(EXPLAIN_PAYLOAD)
+        bad["tuple_mapping"] = [list(entry) for entry in EXPLAIN_PAYLOAD["tuple_mapping"]]
+        bad["tuple_mapping"][1] = [left_key, "T2:1", probability]
+        code, body = self._raw_error(running_server, "/explain", bad)  # JSON NaN/-Infinity
+        assert code == 400
+        assert body["error"]["type"] == "SpecError"
+        assert body["error"]["path"] == "/tuple_mapping/1"
 
     def test_sql_error_is_400_with_sql_type(self, running_server):
         bad = dict(EXPLAIN_PAYLOAD)

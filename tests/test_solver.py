@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.solver.backends import BnBSolverBackend, HighsSolver, SolverError
 from repro.solver.branch_and_bound import BranchAndBoundSolver
-from repro.solver.linearize import add_binary_product, add_equality_indicator, add_product_with_binary
+from repro.solver.linearize import add_equality_indicator
 from repro.solver.lp import LPStatus, solve_lp_relaxation
 from repro.solver.model import (
     ConstraintSense,
@@ -42,6 +42,22 @@ class TestLinearExpression:
         y = model.add_continuous("y")
         expr = 3 * x - y + 1
         assert expr.value([2.0, 4.0]) == pytest.approx(3.0)
+
+    def test_add_copies_and_iadd_mutates_in_place(self):
+        model = MILPModel()
+        x = model.add_continuous("x")
+        y = model.add_continuous("y")
+        a = 2 * x + 1
+        b = 3 * y + x
+        total = a + b
+        assert total is not a
+        assert a.coefficients == {0: 2.0} and a.constant == 1.0
+        assert total.coefficients == {0: 3.0, 1: 3.0}
+        before = a
+        a += b
+        assert a is before
+        assert a.coefficients == {0: 3.0, 1: 3.0} and a.constant == 1.0
+        assert b.coefficients == {1: 3.0, 0: 1.0} and b.constant == 0.0
 
     def test_linear_sum(self):
         model = MILPModel()
@@ -109,9 +125,16 @@ class TestModel:
         model.add_constraint(x + 2 * y, ConstraintSense.EQUAL, 4)
         model.set_objective(x + y, ObjectiveSense.MAXIMIZE)
         arrays = model.to_arrays()
-        assert arrays["A_ub"].shape == (2, 2)
-        assert arrays["A_eq"].shape == (1, 2)
+        assert arrays["A"].format == "csr"
+        assert arrays["A"].shape == (3, 2)
+        assert arrays["A"].toarray().tolist() == [[1.0, 1.0], [-1.0, 1.0], [1.0, 2.0]]
+        # <=, >= and == rows differ only in which row bound is infinite.
+        assert arrays["row_lower"].tolist() == [-math.inf, 1.0, 4.0]
+        assert arrays["row_upper"].tolist() == [5.0, math.inf, 4.0]
+        assert arrays["lower"].tolist() == [0.0, 0.0]
+        assert arrays["upper"].tolist() == [1.0, 10.0]
         assert list(arrays["integrality"]) == [1, 0]
+        assert arrays["c"].tolist() == [-1.0, -1.0]  # maximization, negated
 
     def test_objective_value(self):
         model = MILPModel()
@@ -244,46 +267,6 @@ class TestBackends:
 
 
 class TestLinearization:
-    def test_product_with_binary(self):
-        model = MILPModel()
-        b = model.add_binary("b")
-        f = model.add_continuous("f", 0, 10)
-        product = add_product_with_binary(model, "p", b, f, 0, 10)
-        model.add_constraint(f + 0, ConstraintSense.EQUAL, 7)
-        model.add_constraint(b + 0, ConstraintSense.EQUAL, 1)
-        model.set_objective(product, ObjectiveSense.MINIMIZE)
-        solution = HighsSolver().solve(model)
-        assert solution.value("p") == pytest.approx(7.0)
-
-    def test_product_with_binary_zero_when_off(self):
-        model = MILPModel()
-        b = model.add_binary("b")
-        f = model.add_continuous("f", 0, 10)
-        product = add_product_with_binary(model, "p", b, f, 0, 10)
-        model.add_constraint(f + 0, ConstraintSense.EQUAL, 7)
-        model.add_constraint(b + 0, ConstraintSense.EQUAL, 0)
-        model.set_objective(product, ObjectiveSense.MAXIMIZE)
-        assert HighsSolver().solve(model).value("p") == pytest.approx(0.0)
-
-    def test_invalid_range(self):
-        model = MILPModel()
-        b = model.add_binary("b")
-        with pytest.raises(ValueError):
-            add_product_with_binary(model, "p", b, b, 5, 1)
-
-    def test_binary_product_truth_table(self):
-        for left_value, right_value in [(0, 0), (0, 1), (1, 0), (1, 1)]:
-            model = MILPModel()
-            x = model.add_binary("x")
-            y = model.add_binary("y")
-            w = add_binary_product(model, "w", x, y)
-            model.add_constraint(x + 0, ConstraintSense.EQUAL, left_value)
-            model.add_constraint(y + 0, ConstraintSense.EQUAL, right_value)
-            # Push w upward; constraints must cap it at x*y.
-            model.set_objective(w + 0, ObjectiveSense.MAXIMIZE)
-            solution = HighsSolver().solve(model)
-            assert round(solution.value("w")) == left_value * right_value
-
     def test_equality_indicator_forces_value(self):
         model = MILPModel()
         y = model.add_binary("y")

@@ -1,6 +1,15 @@
 """Unit tests for Stage 3 summarization."""
 
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.core.canonical import canonicalize
 from repro.core.explanations import ExplanationSet, ProvenanceExplanation
@@ -90,3 +99,50 @@ class TestPatternSummarizer:
         )
         summary = PatternSummarizer(max_patterns=1).summarize(explanations, canonical, right)
         assert len(summary.patterns) <= 1
+
+
+#: Two explained rows share four single-condition patterns that tie exactly
+#: (2 targets, 0 others each); the greedy must break the tie the same way
+#: under every string-hash seed.
+_TIE_SCRIPT = """
+import json
+from repro.core.canonical import canonicalize
+from repro.core.explanations import ExplanationSet, ProvenanceExplanation
+from repro.core.summarize import PatternSummarizer
+from repro.graphs.bipartite import Side
+from repro.matching.attribute_match import matching
+from repro.relational.executor import Database
+from repro.relational.provenance import provenance_relation
+from repro.relational.query import Scan, count_query
+
+shared = {"color": "red", "shape": "cube", "size": "big", "mood": "calm"}
+records = [dict(shared, k=f"t{i}") for i in range(2)]
+records += [{"k": f"o{i}", "color": "blue", "shape": "ball", "size": "small", "mood": "wild"}
+            for i in range(4)]
+db = Database("d")
+db.add_records("R", records)
+provenance = provenance_relation(count_query("q", Scan("R"), attribute="k"), db)
+canonical = canonicalize(provenance, matching(("k", "k")), Side.LEFT, label="T1")
+targets = [t.key for t in canonical if t.value("k").startswith("t")]
+explanations = ExplanationSet(provenance=[ProvenanceExplanation(Side.LEFT, key) for key in targets])
+summary = PatternSummarizer().summarize(explanations, canonical, canonical)
+print(json.dumps([[list(c) for c in p.conditions] for p in summary.patterns]))
+"""
+
+
+def _summarize_tie(hash_seed: int) -> list:
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (source, env.get("PYTHONPATH", "")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _TIE_SCRIPT], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_tied_patterns_do_not_depend_on_string_hashing():
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        summaries = list(pool.map(_summarize_tie, range(8)))
+    assert len(summaries[0]) == 1, summaries[0]  # one pattern covers both targets
+    assert all(summary == summaries[0] for summary in summaries), summaries
