@@ -62,9 +62,12 @@ class FormalExpBaseline(DisagreementExplainer):
                 except TypeError:
                     continue
                 singles.add((attribute, value))
-        candidates = [(single,) for single in singles]
+        # A fixed order, not set order: the stable top-k sort and the
+        # ``max_candidates`` cut keep the first of tied predicates.
+        ordered = sorted(singles, key=repr)
+        candidates = [(single,) for single in ordered]
         if self.max_conditions >= 2 and len(singles) <= 200:
-            for first, second in combinations(sorted(singles, key=repr), 2):
+            for first, second in combinations(ordered, 2):
                 if first[0] != second[0]:
                     candidates.append((first, second))
         return candidates[: self.max_candidates]

@@ -150,13 +150,10 @@ def _scored_candidates(
 
 def _similarity_as_probability(candidates) -> TupleMapping:
     """Fallback when no labeled pairs exist: clamp similarity into a probability."""
-    mapping = TupleMapping()
-    for candidate in candidates:
-        probability = min(max(candidate.similarity, 1e-3), 1.0 - 1e-3)
-        mapping.add(
-            TupleMatch(candidate.left_key, candidate.right_key, probability, candidate.similarity)
-        )
-    return mapping
+    return TupleMapping(
+        TupleMatch(left_key, right_key, min(max(similarity, 1e-3), 1.0 - 1e-3), similarity)
+        for left_key, right_key, similarity in candidates
+    )
 
 
 def build_problem(

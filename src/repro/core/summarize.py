@@ -12,11 +12,18 @@ The summarizer is a greedy weighted set cover:
 1. enumerate candidate patterns (single attribute-value conditions and pairs
    of conditions) over the provenance tuples behind the explained canonical
    tuples;
-2. repeatedly pick the pattern with the best score (covered targets minus a
-   penalty for covered non-targets), until every target is covered or no
-   pattern clears the precision threshold;
+2. repeatedly pick the pattern with the best score (covered targets minus
+   covered non-targets), until every target is covered or no pattern clears
+   the precision threshold;
 3. targets left uncovered are reported individually, so the summary never
    loses information.
+
+Candidates are evaluated over posting bitsets: each ``(attribute, value)``
+maps to a Python-int bitmask over the target records and one over the other
+records, so a pair's cover is an AND and a cover's size a popcount.  The
+record scan it replaces stays as the oracle twin
+(:meth:`PatternSummarizer.summarize_reference`); both give identical patterns
+and residuals.
 """
 
 from __future__ import annotations
@@ -80,20 +87,15 @@ class ExplanationSummary:
 
 
 class PatternSummarizer:
-    """Greedy pattern-cover summarizer over explanation tuples."""
+    """Greedy pattern-cover summarizer over explanation tuples.
 
-    def __init__(
-        self,
-        *,
-        min_precision: float = 0.75,
-        max_conditions: int = 2,
-        max_patterns: int = 50,
-        other_penalty: float = 1.0,
-    ):
+    A pattern has one or two conditions; its score is the number of targets
+    it covers minus the number of other records it covers.
+    """
+
+    def __init__(self, *, min_precision: float = 0.75, max_patterns: int = 50):
         self.min_precision = min_precision
-        self.max_conditions = max_conditions
         self.max_patterns = max_patterns
-        self.other_penalty = other_penalty
 
     # -- candidate generation -----------------------------------------------------------
     @staticmethod
@@ -106,12 +108,14 @@ class PatternSummarizer:
         contributes its full record; when no provenance is attached, the
         canonical values themselves are used.
         """
+        # One provenance index per call: ``provenance_members`` rebuilds it per key.
+        by_key = relation.provenance.by_key() if relation.provenance is not None else {}
         records: list[tuple[str, dict]] = []
         for key in keys:
             canonical_tuple = relation.get(key)
             if canonical_tuple is None:
                 continue
-            members = relation.provenance_members(key)
+            members = [by_key[member] for member in canonical_tuple.members if member in by_key]
             if members:
                 for member in members:
                     records.append((key, dict(member.values)))
@@ -119,8 +123,9 @@ class PatternSummarizer:
                 records.append((key, dict(canonical_tuple.values)))
         return records
 
+    @staticmethod
     def _candidate_patterns(
-        self, target_records: Sequence[dict], attributes: Sequence[str]
+        target_records: Sequence[dict], attributes: Sequence[str]
     ) -> list[tuple[tuple[str, object], ...]]:
         singles: set[tuple[str, object]] = set()
         for record in target_records:
@@ -132,13 +137,20 @@ class PatternSummarizer:
         # candidates, so set order would make summaries follow string hashing.
         ordered = sorted(singles, key=repr)
         candidates: list[tuple[tuple[str, object], ...]] = [(single,) for single in ordered]
-        if self.max_conditions >= 2:
-            for first, second in combinations(ordered, 2):
-                if first[0] != second[0]:
-                    candidates.append((first, second))
+        for first, second in combinations(ordered, 2):
+            if first[0] != second[0]:
+                candidates.append((first, second))
         return candidates
 
     # -- summarization per side ------------------------------------------------------------
+    def _side_records(
+        self, relation: CanonicalRelation, target_keys: set[str]
+    ) -> tuple[list[tuple[str, dict]], list[tuple[str, dict]]]:
+        """The (key, record) pairs of the explained and of the other canonical tuples."""
+        target_records = self._records_for(relation, sorted(target_keys))
+        other_records = self._records_for(relation, sorted(set(relation.keys()) - target_keys))
+        return target_records, other_records
+
     def _summarize_side(
         self,
         relation: CanonicalRelation,
@@ -147,9 +159,63 @@ class PatternSummarizer:
     ) -> tuple[list[SummaryPattern], list[tuple[str, str]]]:
         if not target_keys:
             return [], []
-        all_keys = set(relation.keys())
-        target_records = self._records_for(relation, sorted(target_keys))
-        other_records = self._records_for(relation, sorted(all_keys - target_keys))
+        target_records, other_records = self._side_records(relation, target_keys)
+        if not target_records:
+            return [], [(side.value, key) for key in sorted(target_keys)]
+
+        covers = _postings(record for _, record in target_records)
+        other_covers = _postings(record for _, record in other_records)
+        # A pattern covering < 2 targets is no better than listing them, and
+        # covers only shrink, so such a single -- and every pair holding one
+        # -- can never be chosen.  The survivors keep the scan's order
+        # (singles by repr, then pairs in combinations order), so ties break
+        # the same way.  Counts among the other records never change.
+        singles = [single for single in sorted(covers, key=repr) if covers[single].bit_count() >= 2]
+        candidates = [
+            ((single,), covers[single], other_covers.get(single, 0).bit_count())
+            for single in singles
+        ]
+        for first, second in combinations(singles, 2):
+            if first[0] == second[0]:
+                continue
+            cover = covers[first] & covers[second]
+            if cover.bit_count() >= 2:
+                others = other_covers.get(first, 0) & other_covers.get(second, 0)
+                candidates.append(((first, second), cover, others.bit_count()))
+
+        uncovered = (1 << len(target_records)) - 1
+        patterns: list[SummaryPattern] = []
+        while uncovered and len(patterns) < self.max_patterns:
+            best = None
+            best_score = 0
+            for conditions, cover, others in candidates:
+                covered = (cover & uncovered).bit_count()
+                if covered < 2 or covered / (covered + others) < self.min_precision:
+                    continue
+                if covered - others > best_score:
+                    best_score = covered - others
+                    best = (conditions, cover, covered, others)
+            if best is None:
+                break
+            conditions, cover, covered, others = best
+            patterns.append(SummaryPattern(side, conditions, covered, others))
+            uncovered &= ~cover
+
+        residual_keys = sorted(
+            {key for index, (key, _) in enumerate(target_records) if uncovered >> index & 1}
+        )
+        return patterns, [(side.value, key) for key in residual_keys]
+
+    def _summarize_side_reference(
+        self,
+        relation: CanonicalRelation,
+        target_keys: set[str],
+        side: Side,
+    ) -> tuple[list[SummaryPattern], list[tuple[str, str]]]:
+        """:meth:`_summarize_side` by rescanning every record for every candidate."""
+        if not target_keys:
+            return [], []
+        target_records, other_records = self._side_records(relation, target_keys)
         if not target_records:
             return [], [(side.value, key) for key in sorted(target_keys)]
 
@@ -180,7 +246,7 @@ class PatternSummarizer:
                 precision = len(cover) / (len(cover) + others)
                 if precision < self.min_precision:
                     continue
-                score = len(cover) - self.other_penalty * others
+                score = len(cover) - others
                 if score > best_score:
                     best_score = score
                     best_pattern = conditions
@@ -205,13 +271,47 @@ class PatternSummarizer:
         canonical_right: CanonicalRelation,
     ) -> ExplanationSummary:
         """Summarize an explanation set over both canonical relations."""
+        return self._summarize(self._summarize_side, explanations, canonical_left, canonical_right)
+
+    def summarize_reference(
+        self,
+        explanations: ExplanationSet,
+        canonical_left: CanonicalRelation,
+        canonical_right: CanonicalRelation,
+    ) -> ExplanationSummary:
+        """:meth:`summarize` by the record scan: the oracle twin for tests and benchmarks."""
+        return self._summarize(
+            self._summarize_side_reference, explanations, canonical_left, canonical_right
+        )
+
+    @staticmethod
+    def _summarize(summarize_side, explanations, canonical_left, canonical_right):
         summary = ExplanationSummary()
         for side, relation in ((Side.LEFT, canonical_left), (Side.RIGHT, canonical_right)):
             targets = explanations.explained_keys(side)
-            patterns, residuals = self._summarize_side(relation, targets, side)
+            patterns, residuals = summarize_side(relation, targets, side)
             summary.patterns.extend(patterns)
             summary.residual_keys.extend(residuals)
         return summary
+
+
+def _postings(records: Iterable[dict]) -> dict[tuple[str, object], int]:
+    """``(attribute, value)`` -> bitmask of the records holding that value.
+
+    Skips what the scan's ``record.get(attribute) == value`` never matches as
+    a pattern value: ``None``, unhashable values, and values unequal to
+    themselves (NaN).  A dict lookup would match one shared NaN object by
+    identity -- ``json.loads`` returns one -- where ``==`` never does.  Of
+    equal keys (``1`` and ``1.0``) the first seen is kept, as a ``set`` does.
+    """
+    postings: dict[tuple[str, object], int] = {}
+    for index, record in enumerate(records):
+        bit = 1 << index
+        for attribute, value in record.items():
+            if value is None or not _is_hashable(value) or value != value:
+                continue
+            postings[attribute, value] = postings.get((attribute, value), 0) | bit
+    return postings
 
 
 def _is_hashable(value) -> bool:

@@ -82,11 +82,12 @@ class TupleMapping:
 
     # -- mutation -----------------------------------------------------------------
     def add(self, match: TupleMatch) -> None:
-        if match.pair in self._pairs:
+        pair = match.pair
+        if pair in self._pairs:
             return
         self._matches.append(match)
-        self._pairs.add(match.pair)
-        self._probability[match.pair] = match.probability
+        self._pairs.add(pair)
+        self._probability[pair] = match.probability
         self._pairs_view = None
         self._by_left[match.left_key].append(match)
         self._by_right[match.right_key].append(match)

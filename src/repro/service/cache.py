@@ -216,6 +216,22 @@ class ArtifactCache:
         self.put(key, value)
         return value
 
+    def evict(self, key: str) -> bool:
+        """Drop one entry from memory, spilling it when a spill directory is set.
+
+        This is what an LRU eviction does.  Unlike :meth:`invalidate` it
+        writes no tombstone: the content behind ``key`` stays valid, so a
+        spilled entry is served again if its key becomes reachable again.
+        Returns True when the entry was in memory.
+        """
+        with self._lock:
+            value = self._entries.pop(key, _MISSING)
+            if value is _MISSING:
+                return False
+            self.stats.evictions += 1
+            self._write_spill(key, value)
+            return True
+
     def invalidate(self, key: str) -> bool:
         """Evict one key everywhere: memory, disk, and sibling processes.
 
@@ -323,9 +339,7 @@ class ArtifactCache:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.max_entries:
-            evicted_key, evicted_value = self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            self._write_spill(evicted_key, evicted_value)
+            self.evict(next(iter(self._entries)))
 
     def _spill_path(self, key: str) -> Optional[Path]:
         if self.spill_dir is None:

@@ -239,16 +239,25 @@ class ExplainService:
         """Register (or replace) a database; returns its content fingerprint.
 
         Re-registering a changed database under the same name changes the
-        fingerprint, so every derived artifact is re-keyed automatically --
-        no explicit invalidation step exists or is needed.
+        fingerprint, so every derived artifact is re-keyed automatically and
+        no stale artifact can be served.  The replaced version's artifacts
+        are then unreachable, so they are retired from memory (see
+        :meth:`_retire_version`) unless another name still holds that version.
         """
         label = name or db.name
         if not label:
             raise ValueError("databases must be registered under a non-empty name")
         fingerprint = db.fingerprint()
         with self._lock:
+            replaced = self._databases.get(label)
+            current = dict(self._db_fingerprints)
+            signatures = list(self._signatures.items())
             self._databases[label] = db
             self._db_fingerprints[label] = fingerprint
+        old_fp = current.get(label)
+        still_registered = any(fp == old_fp for other, fp in current.items() if other != label)
+        if old_fp not in (None, fingerprint) and not still_registered:
+            self._retire_version(label, replaced, fingerprint, current, signatures)
         return fingerprint
 
     def database(self, name: str) -> Database:
@@ -686,6 +695,90 @@ class ExplainService:
         self._stats.put(fingerprint_of(delta.new_fingerprint, buckets), stats)
         return stats, mode
 
+    def _shapes_over(self, database: str, new_db_fp: str, current: dict, signatures):
+        """The remembered request shapes over ``database``, with their keys.
+
+        Yields ``(problem key, shape, old keys, new keys)``: every artifact
+        key of the shape under the fingerprints in ``current``, and under the
+        same fingerprints with ``database`` at ``new_db_fp``.  A shape whose
+        other database is no longer registered is skipped.
+        """
+        for problem_key, signature in signatures:
+            if database not in (signature.database_left, signature.database_right):
+                continue
+            old_left = current.get(signature.database_left)
+            old_right = current.get(signature.database_right)
+            if old_left is None or old_right is None:
+                continue
+            new_left = new_db_fp if signature.database_left == database else old_left
+            new_right = new_db_fp if signature.database_right == database else old_right
+            yield (
+                problem_key,
+                signature,
+                self._signature_keys(signature, old_left, old_right),
+                self._signature_keys(signature, new_left, new_right),
+            )
+
+    def _artifact_keys(self, old_keys: dict, new_keys: dict) -> list:
+        """``(cache, old key, new key)`` of every cached artifact of one shape."""
+        pairs = [
+            (cache, old_keys[slot], new_keys[slot])
+            for slot, cache in (
+                ("provenance_left", self._provenance),
+                ("provenance_right", self._provenance),
+                ("linkage", self._features),
+                ("linkage", self._candidates),
+                ("problem", self._problems),
+            )
+        ]
+        pairs += [
+            (self._reports, report_key, new_keys["reports"][solve_fp])
+            for solve_fp, report_key in old_keys["reports"].items()
+        ]
+        return pairs
+
+    def _rekey_signatures(self, rekeyed: list[tuple[str, str]]) -> None:
+        """Move remembered shapes to the problem keys of a new database version."""
+        with self._lock:
+            for old_problem_key, new_problem_key in rekeyed:
+                signature = self._signatures.pop(old_problem_key, None)
+                if signature is not None:
+                    self._signatures[new_problem_key] = signature
+
+    def _retire_version(
+        self,
+        database: str,
+        replaced: Database,
+        new_db_fp: str,
+        current: dict,
+        signatures: list,
+    ) -> None:
+        """Drop a replaced database version's artifacts from the memory caches.
+
+        Walks the remembered request shapes over ``database`` as
+        :meth:`_rewire_caches` does.  Every artifact whose key changes under
+        the new fingerprint is evicted, and so are the shape's compiled plans
+        on the replaced version (which would otherwise pin its ``Database``).
+        Eviction spills and writes no tombstone: the content behind those
+        keys is still valid if the same version is registered again.
+        """
+        old_fp = current[database]
+        rekeyed: list[tuple[str, str]] = []
+        for problem_key, signature, old_keys, new_keys in self._shapes_over(
+            database, new_db_fp, current, signatures
+        ):
+            for cache, old_key, new_key in self._artifact_keys(old_keys, new_keys):
+                if old_key != new_key:
+                    cache.evict(old_key)
+            for side_database, query in (
+                (signature.database_left, signature.query_left),
+                (signature.database_right, signature.query_right),
+            ):
+                if side_database == database:
+                    self._plans.evict(self._plan_key(replaced, old_fp, query.inner))
+            rekeyed.append((problem_key, new_keys["problem"]))
+        self._rekey_signatures(rekeyed)
+
     def _rewire_caches(self, database: str, delta, new_db_fp: str) -> dict:
         """Delta-aware invalidation: evict what changed, rewire what did not.
 
@@ -719,7 +812,7 @@ class ExplainService:
                 moves["rewired"] += 1
                 moves["retained"] += 1
 
-        def evict(cache, old_key: str) -> None:
+        def invalidate(cache, old_key: str) -> None:
             if (cache.name, old_key) in handled:
                 return
             handled.add((cache.name, old_key))
@@ -727,18 +820,9 @@ class ExplainService:
                 moves["evicted"] += 1
 
         rekeyed: list[tuple[str, str]] = []
-        for problem_key, signature in signatures:
-            if database not in (signature.database_left, signature.database_right):
-                continue
-            old_left = current.get(signature.database_left)
-            old_right = current.get(signature.database_right)
-            if old_left is None or old_right is None:
-                continue
-            new_left = new_db_fp if signature.database_left == database else old_left
-            new_right = new_db_fp if signature.database_right == database else old_right
-            old_keys = self._signature_keys(signature, old_left, old_right)
-            new_keys = self._signature_keys(signature, new_left, new_right)
-
+        for problem_key, signature, old_keys, new_keys in self._shapes_over(
+            database, new_db_fp, current, signatures
+        ):
             affected = False
             if signature.database_left == database:
                 provenance = self._provenance.get(old_keys["provenance_left"])
@@ -747,36 +831,13 @@ class ExplainService:
                 provenance = self._provenance.get(old_keys["provenance_right"])
                 affected |= delta_affects(signature.query_right, delta, provenance)
 
-            if affected:
-                for slot, cache in (
-                    ("provenance_left", self._provenance),
-                    ("provenance_right", self._provenance),
-                    ("linkage", self._features),
-                    ("linkage", self._candidates),
-                    ("problem", self._problems),
-                ):
-                    if old_keys[slot] != new_keys[slot]:
-                        evict(cache, old_keys[slot])
-                for solve_fp, report_key in old_keys["reports"].items():
-                    if report_key != new_keys["reports"][solve_fp]:
-                        evict(self._reports, report_key)
-            else:
-                rewire(self._provenance, old_keys["provenance_left"],
-                       new_keys["provenance_left"])
-                rewire(self._provenance, old_keys["provenance_right"],
-                       new_keys["provenance_right"])
-                rewire(self._features, old_keys["linkage"], new_keys["linkage"])
-                rewire(self._candidates, old_keys["linkage"], new_keys["linkage"])
-                rewire(self._problems, old_keys["problem"], new_keys["problem"])
-                for solve_fp, report_key in old_keys["reports"].items():
-                    rewire(self._reports, report_key, new_keys["reports"][solve_fp])
+            for cache, old_key, new_key in self._artifact_keys(old_keys, new_keys):
+                if not affected:
+                    rewire(cache, old_key, new_key)
+                elif old_key != new_key:
+                    invalidate(cache, old_key)
             rekeyed.append((problem_key, new_keys["problem"]))
-
-        with self._lock:
-            for old_problem_key, new_problem_key in rekeyed:
-                signature = self._signatures.pop(old_problem_key, None)
-                if signature is not None:
-                    self._signatures[new_problem_key] = signature
+        self._rekey_signatures(rekeyed)
         return moves
 
     def ingest(
@@ -915,14 +976,17 @@ class ExplainService:
             )
         return provenance_relation(query, db, label=f"P[{query.name}]", plan=plan)
 
-    def _cached_plan(self, db: Database, db_fp: str, node, factory) -> PhysicalPlan:
+    @staticmethod
+    def _plan_key(db: Database, db_fp: str, node) -> str:
         # ANALYZE statistics participate in the key: analyzing a database
         # changes the plans it should get (never their results), so cached
         # heuristic plans must not shadow the cost-based ones and vice versa.
         statistics = getattr(db, "statistics", None)
         stats_part = statistics.fingerprint() if statistics is not None else "none"
-        key = fingerprint_of(db_fp, stats_part, logical_fingerprint(node))
-        return self._plans.get_or_compute(key, factory)
+        return fingerprint_of(db_fp, stats_part, logical_fingerprint(node))
+
+    def _cached_plan(self, db: Database, db_fp: str, node, factory) -> PhysicalPlan:
+        return self._plans.get_or_compute(self._plan_key(db, db_fp, node), factory)
 
     def explain_plan(self, database: str, query: Query, *, run: bool = True) -> dict:
         """EXPLAIN a query against a registered database (JSON plan tree).

@@ -1,6 +1,15 @@
 """Unit tests for the baseline methods of Section 5.1.3."""
 
+import json
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.baselines import (
     ExactCoverBaseline,
@@ -145,6 +154,48 @@ class TestFormalExp:
         explanations = baseline.explain(figure1_problem)
         # The disagreement is 7 vs 6, so any proposed predicate covers left tuples.
         assert all(identity[0] in {"L", "R"} for identity in explanations.provenance_identities())
+
+
+#: Figure 1's left side is 7 rows against 6: every predicate covering one
+#: left row closes the gap, so they all tie and ``top_k=2`` keeps the first
+#: two in candidate order.
+_FORMALEXP_TIE_SCRIPT = """
+import json
+from repro import Priors, Scan, TupleMapping, TupleMatch, col, count_query, matching
+from repro.baselines.formalexp import FormalExpBaseline
+from repro.core.problem import build_problem
+from repro.datasets.sql_catalog import figure1_databases
+
+db1, db2 = figure1_databases()[:2]
+problem = build_problem(
+    count_query("Q1", Scan("D1"), attribute="Program"), db1,
+    count_query("Q2", Scan("D2"), predicate=(col("Univ") == "A"), attribute="Major"), db2,
+    attribute_matches=matching(("Program", "Major")),
+    tuple_mapping=TupleMapping([TupleMatch(f"T1:{i}", f"T2:{i}", 0.95) for i in range(6)]),
+    priors=Priors(0.9, 0.9),
+)
+explanations = FormalExpBaseline(top_k=2).explain(problem)
+print(json.dumps(sorted(explanations.provenance_identities())))
+"""
+
+
+def _formalexp_tie(hash_seed: int) -> list:
+    source = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (source, env.get("PYTHONPATH", "")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", _FORMALEXP_TIE_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_formalexp_ties_do_not_depend_on_string_hashing():
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        answers = list(pool.map(_formalexp_tie, range(8)))
+    assert len(answers[0]) == 2, answers[0]
+    assert all(answer == answers[0] for answer in answers), answers
 
 
 class TestExplain3DMethod:

@@ -295,6 +295,82 @@ class TestServiceRegistry:
         assert report_cache.stats.evictions >= 2
 
 
+class TestVersionRetirement:
+    """Re-registering changed content retires the replaced version from memory."""
+
+    TIERS = ("provenance", "plans", "features", "candidates", "problem", "report")
+
+    @staticmethod
+    def _pair(seed):
+        return generate_synthetic_pair(
+            SyntheticConfig(num_tuples=40, difference_ratio=0.2, vocabulary_size=100, seed=seed)
+        )
+
+    @staticmethod
+    def _register(service, pair, left="left", right="right"):
+        service.register_database(pair.db_left, left)
+        service.register_database(pair.db_right, right)
+
+    @staticmethod
+    def _explain(service, pair, left="left"):
+        return service.explain(
+            ExplainRequest(
+                pair.query_left, left, pair.query_right, "right",
+                attribute_matches=pair.attribute_matches,
+                config=Explain3DConfig(partitioning="none"),
+            )
+        )
+
+    def _sizes(self, service):
+        return {tier: len(service.caches.cache(tier)) for tier in self.TIERS}
+
+    def test_each_tier_holds_one_question(self):
+        service = ExplainService()
+        for seed in range(4):
+            pair = self._pair(seed)
+            self._register(service, pair)
+            self._explain(service, pair)
+            assert self._sizes(service) == {
+                "provenance": 2, "plans": 2, "features": 1,
+                "candidates": 1, "problem": 1, "report": 1,
+            }, seed
+
+    def test_identical_content_keeps_the_report(self):
+        service = ExplainService()
+        self._register(service, self._pair(1))
+        self._explain(service, self._pair(1))
+        self._register(service, self._pair(1))  # same bytes, fresh objects
+        assert self._explain(service, self._pair(1)).cached_report
+
+    def test_version_held_by_another_name_keeps_its_artifacts(self):
+        service = ExplainService()
+        first = self._pair(1)
+        self._register(service, first)
+        service.register_database(first.db_left, "left_copy")
+        self._explain(service, first)
+        sizes = self._sizes(service)
+        service.register_database(self._pair(2).db_left, "left")
+        assert self._sizes(service) == sizes
+        assert self._explain(service, first, left="left_copy").cached_report
+
+    def test_retired_entries_spill_without_tombstones(self, tmp_path):
+        service = ExplainService(ServiceConfig(spill_dir=tmp_path))
+        first = self._pair(1)
+        self._register(service, first)
+        cold = self._explain(service, first)
+        self._register(service, self._pair(2))
+        reports = service.caches.cache("report")
+        assert len(reports) == 0
+        assert list(tmp_path.glob("report-*.pkl"))
+        assert not list(tmp_path.glob("*.tomb"))
+
+        self._register(service, first)  # the old content again
+        again = self._explain(service, first)
+        assert again.cached_report
+        assert reports.stats.spill_loads == 1
+        assert _reports_equal(again.report, cold.report)
+
+
 class TestJobQueue:
     def test_concurrent_submissions_match_sequential(self, figure1_db1, figure1_db2,
                                                      figure1_queries, figure1_mapping):

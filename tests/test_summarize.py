@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -11,13 +12,13 @@ import pytest
 
 import repro
 
-from repro.core.canonical import canonicalize
+from repro.core.canonical import CanonicalRelation, CanonicalTuple, canonicalize
 from repro.core.explanations import ExplanationSet, ProvenanceExplanation
 from repro.core.summarize import PatternSummarizer, SummaryPattern
 from repro.graphs.bipartite import Side
 from repro.matching.attribute_match import matching
 from repro.relational.executor import Database
-from repro.relational.provenance import provenance_relation
+from repro.relational.provenance import ProvenanceRelation, ProvenanceTuple, provenance_relation
 from repro.relational.query import Scan, count_query
 
 
@@ -146,3 +147,79 @@ def test_tied_patterns_do_not_depend_on_string_hashing():
         summaries = list(pool.map(_summarize_tie, range(8)))
     assert len(summaries[0]) == 1, summaries[0]  # one pattern covers both targets
     assert all(summary == summaries[0] for summary in summaries), summaries
+
+
+#: Typed column pools.  The float column mixes ``1`` and ``1.0``: equal keys
+#: whose reprs differ, so the kept (first-seen) one shows in the summary.
+_FUZZ_POOLS = {"s": ["x", "y", "z"], "i": [0, 1, 2], "f": [0.5, 1.0, 1, 2.5]}
+
+
+def _fuzz_case(rng: random.Random):
+    """A random one-side summarization problem over typed columns.
+
+    Values are drawn from the column pool or are ``None``, one NaN object
+    shared by the whole table (as ``json.loads`` returns) or a fresh NaN.
+    Canonical tuples group zero to three provenance records; a tuple with
+    none is summarized by its own values.
+    """
+    shared_nan = float("nan")
+
+    def value(column):
+        roll = rng.random()
+        if roll < 0.15:
+            return None
+        if roll < 0.3:
+            return shared_nan
+        if roll < 0.35:
+            return float("nan")
+        return rng.choice(_FUZZ_POOLS[column])
+
+    provenance_tuples, canonical_tuples = [], []
+    for index in range(rng.randint(2, 30)):
+        members = []
+        for _ in range(rng.randint(0, 3)):
+            key = f"P:{len(provenance_tuples)}"
+            provenance_tuples.append(ProvenanceTuple(key, {c: value(c) for c in _FUZZ_POOLS}, 1.0))
+            members.append(key)
+        values = {c: value(c) for c in _FUZZ_POOLS}
+        canonical_tuples.append(CanonicalTuple(f"T:{index}", Side.LEFT, values, 1.0, tuple(members)))
+    provenance = ProvenanceRelation(count_query("q", Scan("R")), list(_FUZZ_POOLS), provenance_tuples)
+    relation = CanonicalRelation(Side.LEFT, list(_FUZZ_POOLS), canonical_tuples, provenance=provenance)
+    keys = relation.keys()
+    targets = set(rng.sample(keys, rng.randint(1, len(keys))))
+    summarizer = PatternSummarizer(
+        min_precision=rng.choice((0.5, 0.75, 0.9, 1.0)), max_patterns=rng.choice((1, 2, 50))
+    )
+    return summarizer, relation, targets
+
+
+def _side_identity(patterns, residuals):
+    # repr tells ``1`` from ``1.0``, which ``==`` does not.
+    return [(p.side, repr(p.conditions), p.covered_targets, p.covered_others) for p in patterns], residuals
+
+
+def test_indexed_greedy_matches_the_record_scan():
+    """The posting-bitset greedy equals its oracle twin, the record scan."""
+    rng = random.Random(1903)
+    chosen = 0
+    for _ in range(300):
+        summarizer, relation, targets = _fuzz_case(rng)
+        fast = summarizer._summarize_side(relation, targets, Side.LEFT)
+        reference = summarizer._summarize_side_reference(relation, targets, Side.LEFT)
+        assert _side_identity(*fast) == _side_identity(*reference)
+        chosen += len(fast[0])
+    assert chosen >= 100, chosen  # the greedy really picks patterns, not only residuals
+
+
+def test_summarize_equals_the_reference(degree_canonicals):
+    canonical, right = degree_canonicals
+    targets = [t.key for t in canonical if t.value("Major").startswith("Assoc")]
+    targets += [t.key for t in canonical if t.value("Major") == "Bachelor Major 0"]
+    explanations = ExplanationSet(
+        provenance=[ProvenanceExplanation(Side.LEFT, key) for key in targets]
+    )
+    summarizer = PatternSummarizer()
+    fast = summarizer.summarize(explanations, canonical, right)
+    reference = summarizer.summarize_reference(explanations, canonical, right)
+    assert fast.patterns and fast.patterns == reference.patterns
+    assert fast.residual_keys == reference.residual_keys
