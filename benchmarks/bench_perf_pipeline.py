@@ -9,6 +9,12 @@ Times the dominant wall-clock costs of the reproduction:
   so the ratio isolates the re-tokenization + vectorization win.
 * **Stage 2 partitioned solving** -- ``workers=1`` sequential solving against
   the pool-dispatched parallel path on a multi-partition workload.
+* **Stage 2 MILP assembly** -- ``MILPTransformation.build`` (index arrays)
+  against its oracle twin ``build_reference`` (one ``LinearExpression`` row at
+  a time), each followed by the ``to_arrays`` export HiGHS reads, on the
+  partitions of a synthetic n=300 smart question and on the single run-diff
+  MILP of two 60-row runs.  Gate: at least ``STAGE2_BUILD_GATE`` x on the
+  synthetic set.
 * **Stage 3 summarization** -- the posting-bitset greedy of
   ``PatternSummarizer.summarize`` against its oracle twin, the record scan of
   ``summarize_reference``, on the explanation sets of a synthetic n=300 smart
@@ -17,8 +23,9 @@ Times the dominant wall-clock costs of the reproduction:
 
 Each timed path runs ``REPEATS`` times and the best time is kept (the
 problems are deterministic; the minimum removes scheduler noise).
-Equivalence (identical candidates, identical merged objectives, identical
-summary patterns and residuals) is asserted on every timed pair of paths --
+Equivalence (identical candidates, identical merged objectives, bit-identical
+MILP exports, identical summary patterns and residuals) is asserted on every
+timed pair of paths --
 the script fails loudly rather than report a speedup for a divergent result.
 
 Results are written to ``BENCH_pipeline.json`` at the repository root so
@@ -40,19 +47,26 @@ ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np
+from scipy import sparse
+
 from repro.core.explain3d import Explain3D, Explain3DConfig
-from repro.core.partitioning import PartitionedSolver, SolveConfig
+from repro.core.milp_model import MILPTransformation
+from repro.core.partitioning import PartitionedSolver, SolveConfig, _restrict_by_partition
 from repro.core.summarize import PatternSummarizer
 from repro.datasets.academic import generate_academic_pair, osu_config
 from repro.datasets.imdb import IMDbConfig, generate_imdb_workload
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_pair
+from repro.datasets.variants import VariantsConfig, generate_variant_runs
 from repro.graphs.bipartite import Side
 from repro.matching.blocking import TokenBlocker
 from repro.matching.similarity import combined_similarity
 from repro.matching.tuple_matching import CandidateMatch, generate_candidates
+from repro.runs import build_run_problem
 
 RESULT_PATH = ROOT / "BENCH_pipeline.json"
 REPEATS = 9
+STAGE2_BUILD_GATE = 5.0
 STAGE3_GATE = 20.0
 
 
@@ -156,6 +170,57 @@ def bench_stage2(name, problem, *, partitioning="smart", batch_size=60):
     return entry
 
 
+def _export_bytes(arrays: dict) -> list[bytes]:
+    """A MILP export as exact bytes: ``A`` in CSC form with sorted indices."""
+    matrix = sparse.csc_array(arrays["A"])
+    matrix.sort_indices()
+    parts = [matrix.indptr.astype(np.int64), matrix.indices.astype(np.int64), matrix.data]
+    parts += [arrays[name] for name in ("c", "row_lower", "row_upper", "lower", "upper", "integrality")]
+    parts += [np.array([arrays["objective_sign"], arrays["objective_offset"]], dtype=float)]
+    return [repr(matrix.shape).encode()] + [np.ascontiguousarray(part).tobytes() for part in parts]
+
+
+def _partition_transformations(problem, config: SolveConfig) -> list[MILPTransformation]:
+    """One transformation per partition, as the partitioned solver builds them."""
+    partitions = PartitionedSolver(problem, config)._partitions()
+    lefts, rights, mappings, _ = _restrict_by_partition(problem, partitions)
+    return [
+        MILPTransformation(left, right, mapping, problem.relation, problem.priors, name=f"part{i}")
+        for i, (left, right, mapping) in enumerate(zip(lefts, rights, mappings))
+    ]
+
+
+def bench_stage2_build(name, transformations, *, gate=None):
+    """Time the per-row reference MILP build vs the array build, export included."""
+    for transformation in transformations:
+        fast = _export_bytes(transformation.build().to_arrays())
+        if fast != _export_bytes(transformation.build_reference().to_arrays()):
+            raise AssertionError(f"{name}: array build export diverges from the per-row reference")
+    reference_seconds, _ = _best_of(
+        lambda: [t.build_reference().to_arrays() for t in transformations], repeats=3
+    )
+    array_seconds, _ = _best_of(lambda: [t.build().to_arrays() for t in transformations])
+    speedup = reference_seconds / array_seconds
+    entry = {
+        "workload": name,
+        "milps": len(transformations),
+        "variables": sum(t.model.num_variables for t in transformations),
+        "constraints": sum(t.model.num_constraints for t in transformations),
+        "reference_seconds": round(reference_seconds, 6),
+        "array_seconds": round(array_seconds, 6),
+        "speedup": round(speedup, 1),
+        "gate": gate,
+        "exports_identical": True,
+    }
+    print(
+        f"[stage2_build] {name}: {entry['milps']} MILPs, {entry['variables']} variables, "
+        f"per-row {reference_seconds:.4f}s -> arrays {array_seconds:.4f}s ({entry['speedup']}x)"
+    )
+    if gate is not None and speedup < gate:
+        raise AssertionError(f"{name}: Stage 2 build speedup {speedup:.1f}x is below the {gate}x gate")
+    return entry
+
+
 def bench_stage3(name, pair, config, *, gate=None):
     """Time the record-scan summarizer vs the posting-bitset one on one answer."""
     report = Explain3D(replace(config, summarize=False)).explain(
@@ -202,7 +267,9 @@ def bench_stage3(name, pair, config, *, gate=None):
 
 
 def main() -> dict:
-    results = {"cpu_count": os.cpu_count(), "stage1": [], "stage2": [], "stage3": []}
+    results = {
+        "cpu_count": os.cpu_count(), "stage1": [], "stage2": [], "stage2_build": [], "stage3": [],
+    }
 
     # -- Stage 1: the Section 5.3 synthetic generator at n=400 ---------------------------
     for vocabulary in (1000, 300):
@@ -240,10 +307,31 @@ def main() -> dict:
     solve_problem, _ = solve_pair.build_problem()
     results["stage2"].append(bench_stage2("synthetic_n240", solve_problem, batch_size=60))
 
-    # -- Stage 3: summarizing a synthetic smart answer and the OSU answer ---------------
+    # -- Stage 2 assembly: a synthetic smart question's partitions, one run-diff MILP ----
     smart_pair = generate_synthetic_pair(
         SyntheticConfig(num_tuples=300, vocabulary_size=500, difference_ratio=0.2, seed=1)
     )
+    smart_problem, _ = smart_pair.build_problem()
+    results["stage2_build"].append(
+        bench_stage2_build(
+            "synthetic_n300_smart",
+            _partition_transformations(smart_problem, SolveConfig(partitioning="smart", batch_size=100)),
+            gate=STAGE2_BUILD_GATE,
+        )
+    )
+    scenario = generate_variant_runs(VariantsConfig(num_rows=60))
+    runs = build_run_problem(
+        scenario.relation("single_thread"), scenario.relation("shared_state"), key=scenario.key
+    )
+    runs_problem = Explain3D(Explain3DConfig()).build_problem(
+        runs.query_left, runs.database_left, runs.query_right, runs.database_right,
+        attribute_matches=runs.attribute_matches,
+    )
+    results["stage2_build"].append(
+        bench_stage2_build("runs60_shared_state", _partition_transformations(runs_problem, SolveConfig()))
+    )
+
+    # -- Stage 3: summarizing a synthetic smart answer and the OSU answer ---------------
     results["stage3"].append(
         bench_stage3(
             "synthetic_n300_smart",

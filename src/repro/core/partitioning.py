@@ -36,7 +36,7 @@ from repro.core.scoring import MatchLogProbability, Priors
 from repro.graphs.smart_partition import SmartPartitioner, TuplePartition
 from repro.graphs.weighting import WeightingParams
 from repro.matching.attribute_match import SemanticRelation
-from repro.matching.tuple_matching import TupleMapping
+from repro.matching.tuple_matching import TupleMapping, TupleMatch
 from repro.reliability.deadline import Deadline, DeadlineExceeded, OperationCancelled
 from repro.reliability.faults import FAULTS
 from repro.solver.backends import MILPSolver, default_solver
@@ -87,14 +87,16 @@ class SolveStats:
 
 def _restrict_by_partition(
     problem: ExplainProblem, partitions: list[TuplePartition]
-) -> tuple[list[CanonicalRelation], list[CanonicalRelation], list[TupleMapping]]:
+) -> tuple[list[CanonicalRelation], list[CanonicalRelation], list[TupleMapping], list[TupleMatch]]:
     """Bucket canonical tuples and matches by partition in one pass each.
 
     Partitions are disjoint by construction, so a key belongs to at most one
     partition and a match is internal to a partition exactly when both its
     endpoints land in the same one.  Tuple and match order within each bucket
     follows the original relation/mapping order, which keeps the per-partition
-    MILPs identical to the former per-partition full-scan restriction.
+    MILPs identical to the former per-partition full-scan restriction.  The
+    fourth result lists the matches internal to no partition (the cut
+    matches), in mapping order.
     """
     left_of: dict[str, int] = {}
     right_of: dict[str, int] = {}
@@ -115,10 +117,13 @@ def _restrict_by_partition(
         if position is not None:
             right_buckets[position].append(canonical_tuple)
     match_buckets: list[list] = [[] for _ in partitions]
+    cut: list[TupleMatch] = []
     for match in problem.mapping:
         position = left_of.get(match.left_key)
         if position is not None and right_of.get(match.right_key) == position:
             match_buckets[position].append(match)
+        else:
+            cut.append(match)
 
     template_left = problem.canonical_left
     template_right = problem.canonical_right
@@ -137,7 +142,7 @@ def _restrict_by_partition(
         for bucket in right_buckets
     ]
     mappings = [TupleMapping(bucket) for bucket in match_buckets]
-    return lefts, rights, mappings
+    return lefts, rights, mappings, cut
 
 
 def _solve_partition_task(
@@ -263,10 +268,7 @@ class PartitionedSolver:
         self.stats.partition_time = time.perf_counter() - start
 
         solve_start = time.perf_counter()
-        lefts, rights, mappings = _restrict_by_partition(self.problem, partitions)
-        covered_pairs: set[tuple[str, str]] = set()
-        for mapping in mappings:
-            covered_pairs.update(mapping.pairs())
+        lefts, rights, mappings, cut = _restrict_by_partition(self.problem, partitions)
 
         workers = self.config.resolved_workers()
         if workers > 1 and not _supports_cloning(self.solver):
@@ -322,9 +324,8 @@ class PartitionedSolver:
 
         # Matches cut across partitions are implicitly rejected (z = 0); add
         # their log(1 - p) terms so the merged objective matches Equation (13).
-        for match in self.problem.mapping:
-            if match.pair not in covered_pairs:
-                merged.objective += MatchLogProbability.of(match.probability).rejected
+        for match in cut:
+            merged.objective += MatchLogProbability.of(match.probability).rejected
 
         self.stats.solve_time = time.perf_counter() - solve_start
         self.stats.total_time = time.perf_counter() - start

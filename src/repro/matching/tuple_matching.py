@@ -9,7 +9,6 @@ refines it into the *evidence mapping* ``M*_tuple``.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -51,7 +50,7 @@ class TupleMatch:
 
 
 class TupleMapping:
-    """A set of tuple matches with by-side indexes.
+    """An insertion-ordered set of tuple matches, one per (left, right) pair.
 
     Used both for the initial mapping ``M_tuple`` and the refined evidence
     mapping ``M*_tuple``.
@@ -59,9 +58,7 @@ class TupleMapping:
 
     def __init__(self, matches: Iterable[TupleMatch] = ()):
         self._matches: list[TupleMatch] = []
-        self._by_left: dict[str, list[TupleMatch]] = defaultdict(list)
-        self._by_right: dict[str, list[TupleMatch]] = defaultdict(list)
-        self._pairs: set[tuple[str, str]] = set()
+        #: (left, right) -> probability of the first match added for the pair.
         self._probability: dict[tuple[str, str], float] = {}
         self._pairs_view: frozenset[tuple[str, str]] | None = None
         for match in matches:
@@ -75,22 +72,19 @@ class TupleMapping:
         return iter(self._matches)
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return tuple(pair) in self._pairs
+        return tuple(pair) in self._probability
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"TupleMapping({len(self._matches)} matches)"
 
     # -- mutation -----------------------------------------------------------------
     def add(self, match: TupleMatch) -> None:
-        pair = match.pair
-        if pair in self._pairs:
+        pair = (match.left_key, match.right_key)
+        if pair in self._probability:
             return
         self._matches.append(match)
-        self._pairs.add(pair)
         self._probability[pair] = match.probability
         self._pairs_view = None
-        self._by_left[match.left_key].append(match)
-        self._by_right[match.right_key].append(match)
 
     # -- accessors ----------------------------------------------------------------
     @property
@@ -100,20 +94,22 @@ class TupleMapping:
     def pairs(self) -> frozenset[tuple[str, str]]:
         """A frozen view of all (left, right) pairs, cached between mutations."""
         if self._pairs_view is None:
-            self._pairs_view = frozenset(self._pairs)
+            self._pairs_view = frozenset(self._probability)
         return self._pairs_view
 
+    # By-side lookups scan the matches: the pipeline never asks for them, so
+    # no per-match index is kept for them.
     def for_left(self, key: str) -> tuple[TupleMatch, ...]:
-        return tuple(self._by_left.get(key, ()))
+        return tuple(match for match in self._matches if match.left_key == key)
 
     def for_right(self, key: str) -> tuple[TupleMatch, ...]:
-        return tuple(self._by_right.get(key, ()))
+        return tuple(match for match in self._matches if match.right_key == key)
 
     def left_keys(self) -> set[str]:
-        return set(self._by_left.keys())
+        return {match.left_key for match in self._matches}
 
     def right_keys(self) -> set[str]:
-        return set(self._by_right.keys())
+        return {match.right_key for match in self._matches}
 
     def probability(self, left_key: str, right_key: str) -> float | None:
         return self._probability.get((left_key, right_key))

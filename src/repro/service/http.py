@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.core.milp_model import NonFiniteImpactError
 from repro.live import DeltaConflictError, DeltaError
 from repro.relational.errors import EmptyAggregateError
 from repro.reliability.breaker import CircuitOpenError
@@ -83,6 +84,8 @@ ERROR_STATUS = (
     # A well-formed aggregate over an all-NULL input: the caller's data, not
     # a server fault.  Must precede any broader ExecutionError mapping.
     (EmptyAggregateError, 400),
+    # A NaN or infinite impact reaching Stage 2: the caller's data again.
+    (NonFiniteImpactError, 400),
     (UnknownDatabaseError, 404),
     (DeltaConflictError, 409),
     (OperationCancelled, 409),

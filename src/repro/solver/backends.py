@@ -13,7 +13,7 @@ Two backends are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Mapping, Protocol
 
 import numpy as np
 from scipy.optimize import LinearConstraint, milp
@@ -29,19 +29,25 @@ class SolverError(RuntimeError):
 
 @dataclass
 class MILPSolution:
-    """A solved assignment: values by variable name plus the objective value."""
+    """A solved assignment: the solution vector plus the objective value.
+
+    ``x[i]`` is the value of the model's column ``i``.  ``names`` maps the
+    variables a model added by name to their columns, so ``value``/``binary``
+    and ``solution[name]`` read them by name.
+    """
 
     objective: float
-    values: dict[str, float]
+    x: np.ndarray
+    names: Mapping[str, int]
 
     def value(self, name: str) -> float:
-        return self.values[name]
+        return float(self.x[self.names[name]])
 
     def binary(self, name: str) -> bool:
-        return round(self.values[name]) >= 1
+        return round(self.value(name)) >= 1
 
     def __getitem__(self, name: str) -> float:
-        return self.values[name]
+        return self.value(name)
 
 
 class MILPSolver(Protocol):
@@ -52,8 +58,7 @@ class MILPSolver(Protocol):
 
 
 def _to_solution(model: MILPModel, values: np.ndarray, objective: float) -> MILPSolution:
-    named = {variable.name: float(values[variable.index]) for variable in model.variables}
-    return MILPSolution(objective=float(objective), values=named)
+    return MILPSolution(float(objective), np.asarray(values, dtype=float), model.names)
 
 
 class HighsSolver:
@@ -70,7 +75,7 @@ class HighsSolver:
     def solve(self, model: MILPModel) -> MILPSolution:
         arrays = model.to_arrays()
         if model.num_variables == 0:
-            return MILPSolution(objective=arrays["objective_offset"], values={})
+            return _to_solution(model, np.zeros(0), arrays["objective_offset"])
 
         options = {"mip_rel_gap": self.mip_rel_gap}
         if self.time_limit is not None:

@@ -90,7 +90,7 @@ class BranchAndBoundSolver:
         """
         self.stats = BranchAndBoundStats()
         arrays = model.to_arrays()
-        integral_indices = np.asarray(model.integral_indices(), dtype=np.intp)
+        integral_indices = np.flatnonzero(arrays["integrality"])
         maximize = model.objective_sense is ObjectiveSense.MAXIMIZE
 
         def better(candidate: float, incumbent: float) -> bool:

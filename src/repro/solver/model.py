@@ -2,15 +2,18 @@
 
 The modeling objects are deliberately small and self-contained: variables,
 linear expressions (sparse coefficient maps plus a constant), constraints and
-a :class:`MILPModel` that exports itself to the sparse row-bounded matrix form
-read by both solver backends.
+a :class:`MILPModel` that stores its rows as COO entries with row bounds and
+exports them in the sparse row-bounded matrix form read by both solver
+backends.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -193,17 +196,36 @@ class Constraint:
 
 
 class MILPModel:
-    """A mixed integer linear program: variables, constraints and an objective."""
+    """A mixed integer linear program in sparse row-bounded form.
+
+    One storage form serves every way of building a model: per-column bound
+    and integrality arrays, the objective's column indices and coefficients
+    plus a constant, and the constraint rows as COO entries (row, column,
+    coefficient) with a lower and an upper bound per row.  The per-name API
+    (:meth:`add_variable`, :meth:`add_constraint`, :meth:`set_objective`)
+    appends one variable or row at a time; the block API
+    (:meth:`add_columns`, :meth:`add_rows`, :meth:`set_objective_terms`)
+    appends whole index arrays.  Names are kept only for variables added by
+    name.
+    """
 
     def __init__(self, name: str = "milp"):
         self.name = name
-        self.variables: list[Variable] = []
-        self.constraints: list[Constraint] = []
-        self.objective: LinearExpression = LinearExpression()
         self.objective_sense: ObjectiveSense = ObjectiveSense.MAXIMIZE
+        self.objective_constant = 0.0
+        self._objective_columns = array("q")
+        self._objective_coefficients = array("d")
+        self._lower = array("d")
+        self._upper = array("d")
+        self._integral = array("b")
+        self._entry_rows = array("q")
+        self._entry_columns = array("q")
+        self._entry_values = array("d")
+        self._row_lower = array("d")
+        self._row_upper = array("d")
         self._names: dict[str, int] = {}
 
-    # -- construction -------------------------------------------------------------
+    # -- construction: one variable or row at a time ------------------------------
     def add_variable(
         self,
         name: str,
@@ -216,8 +238,10 @@ class MILPModel:
             raise ValueError(f"variable {name!r} already exists in model {self.name!r}")
         if vartype is VariableType.BINARY:
             lower, upper = 0.0, 1.0
-        variable = Variable(name, len(self.variables), vartype, lower, upper)
-        self.variables.append(variable)
+        variable = Variable(name, self.num_variables, vartype, lower, upper)
+        self._lower.append(lower)
+        self._upper.append(upper)
+        self._integral.append(vartype.is_integral)
         self._names[name] = variable.index
         return variable
 
@@ -231,9 +255,6 @@ class MILPModel:
         self, name: str, lower: float = -math.inf, upper: float = math.inf
     ) -> Variable:
         return self.add_variable(name, vartype=VariableType.CONTINUOUS, lower=lower, upper=upper)
-
-    def variable(self, name: str) -> Variable:
-        return self.variables[self._names[name]]
 
     def add_constraint(
         self,
@@ -249,48 +270,94 @@ class MILPModel:
         if isinstance(sense, str):
             sense = ConstraintSense(sense)
         constraint = Constraint(expression, sense, float(rhs), name)
-        self.constraints.append(constraint)
+        coefficients = expression.coefficients
+        self._entry_rows.extend(repeat(self.num_constraints, len(coefficients)))
+        self._entry_columns.extend(coefficients)
+        self._entry_values.extend(coefficients.values())
+        bound = constraint.rhs - expression.constant
+        self._row_lower.append(-math.inf if sense is ConstraintSense.LESS_EQUAL else bound)
+        self._row_upper.append(math.inf if sense is ConstraintSense.GREATER_EQUAL else bound)
         return constraint
 
     def set_objective(self, expression, sense: ObjectiveSense = ObjectiveSense.MAXIMIZE) -> None:
         if isinstance(expression, Variable):
             expression = LinearExpression.from_variable(expression)
-        self.objective = expression
+        coefficients = expression.coefficients
+        self.set_objective_terms(
+            np.fromiter(coefficients, dtype=np.int64, count=len(coefficients)),
+            np.fromiter(coefficients.values(), dtype=float, count=len(coefficients)),
+            expression.constant,
+            sense,
+        )
+
+    # -- construction: blocks of index arrays ---------------------------------------
+    def add_columns(self, lower, upper, integral) -> None:
+        """Append one column per entry of the bound and integrality arrays."""
+        lower = np.asarray(lower, dtype=float)
+        upper = np.asarray(upper, dtype=float)
+        if np.any(lower > upper):
+            raise ValueError(f"model {self.name!r}: a column's lower bound exceeds its upper bound")
+        _append(self._lower, lower)
+        _append(self._upper, upper)
+        _append(self._integral, np.asarray(integral, dtype=np.int8))
+
+    def add_rows(self, rows, columns, values, lower, upper) -> None:
+        """Append rows ``lower <= A_block @ x <= upper`` given as COO entries.
+
+        ``rows`` number the new rows from 0, one ``lower``/``upper`` pair per
+        new row; entries with a 0.0 coefficient are dropped at export.
+        """
+        _append(self._entry_rows, np.asarray(rows, dtype=np.int64) + self.num_constraints)
+        _append(self._entry_columns, np.asarray(columns, dtype=np.int64))
+        _append(self._entry_values, np.asarray(values, dtype=float))
+        _append(self._row_lower, np.asarray(lower, dtype=float))
+        _append(self._row_upper, np.asarray(upper, dtype=float))
+
+    def set_objective_terms(
+        self, columns, coefficients, constant: float = 0.0,
+        sense: ObjectiveSense = ObjectiveSense.MAXIMIZE,
+    ) -> None:
+        """Set the objective ``sum(coefficients * x[columns]) + constant``."""
+        self._objective_columns = _append(array("q"), np.asarray(columns, dtype=np.int64))
+        self._objective_coefficients = _append(array("d"), np.asarray(coefficients, dtype=float))
+        self.objective_constant = float(constant)
         self.objective_sense = sense
 
     # -- introspection ------------------------------------------------------------
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return len(self._lower)
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return len(self._row_lower)
 
     @property
-    def num_integer_variables(self) -> int:
-        return sum(1 for variable in self.variables if variable.vartype.is_integral)
-
-    def integral_indices(self) -> list[int]:
-        return [variable.index for variable in self.variables if variable.vartype.is_integral]
+    def names(self) -> Mapping[str, int]:
+        """Column index of every variable added by name."""
+        return self._names
 
     def is_feasible(self, assignment: Sequence[float], *, tolerance: float = 1e-6) -> bool:
         """Check bounds, integrality and constraints of a full assignment."""
-        if len(assignment) != self.num_variables:
+        x = np.asarray(assignment, dtype=float)
+        if x.shape != (self.num_variables,):
             return False
-        for variable in self.variables:
-            value = assignment[variable.index]
-            if value < variable.lower - tolerance or value > variable.upper + tolerance:
-                return False
-            if variable.vartype.is_integral and abs(value - round(value)) > tolerance:
-                return False
-        return all(
-            constraint.satisfied_by(assignment, tolerance=tolerance)
-            for constraint in self.constraints
+        arrays = self.to_arrays()
+        integral = x[arrays["integrality"] == 1]
+        activity = arrays["A"] @ x
+        return bool(
+            np.all(x >= arrays["lower"] - tolerance)
+            and np.all(x <= arrays["upper"] + tolerance)
+            and np.all(np.abs(integral - np.round(integral)) <= tolerance)
+            and np.all(activity >= arrays["row_lower"] - tolerance)
+            and np.all(activity <= arrays["row_upper"] + tolerance)
         )
 
     def objective_value(self, assignment: Sequence[float]) -> float:
-        return self.objective.value(assignment)
+        x = np.asarray(assignment, dtype=float)
+        columns = np.array(self._objective_columns, dtype=np.int64)
+        coefficients = np.array(self._objective_coefficients, dtype=float)
+        return self.objective_constant + float(coefficients @ x[columns])
 
     # -- export to matrix form ----------------------------------------------------
     def to_arrays(self) -> dict:
@@ -306,45 +373,41 @@ class MILPModel:
         """
         sign = -1.0 if self.objective_sense is ObjectiveSense.MAXIMIZE else 1.0
         c = np.zeros(self.num_variables)
-        for index, coefficient in self.objective.coefficients.items():
-            c[index] = sign * coefficient
+        c[np.array(self._objective_columns, dtype=np.int64)] = sign * np.array(
+            self._objective_coefficients, dtype=float
+        )
 
-        indptr = [0]
-        indices: list[int] = []
-        data: list[float] = []
-        row_lower: list[float] = []
-        row_upper: list[float] = []
-        for constraint in self.constraints:
-            coefficients = constraint.expression.coefficients
-            indices.extend(coefficients)
-            data.extend(coefficients.values())
-            indptr.append(len(indices))
-            rhs = constraint.rhs - constraint.expression.constant
-            sense = constraint.sense
-            row_lower.append(-math.inf if sense is ConstraintSense.LESS_EQUAL else rhs)
-            row_upper.append(math.inf if sense is ConstraintSense.GREATER_EQUAL else rhs)
+        values = np.array(self._entry_values, dtype=float)
+        kept = values != 0.0  # a coefficient that cancelled to 0.0 is no entry
+        rows = np.array(self._entry_rows, dtype=np.int64)[kept]
+        order = np.argsort(rows, kind="stable")
+        indptr = np.zeros(self.num_constraints + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=self.num_constraints), out=indptr[1:])
         matrix = sparse.csr_array(
-            (np.array(data, dtype=float), np.array(indices, dtype=np.int64), indptr),
+            (values[kept][order], np.array(self._entry_columns, dtype=np.int64)[kept][order], indptr),
             shape=(self.num_constraints, self.num_variables),
         )
-        matrix.eliminate_zeros()  # a coefficient that cancelled to 0.0 is no entry
 
         return {
             "c": c,
             "objective_sign": sign,
-            "objective_offset": self.objective.constant,
+            "objective_offset": self.objective_constant,
             "A": matrix,
-            "row_lower": np.array(row_lower, dtype=float),
-            "row_upper": np.array(row_upper, dtype=float),
-            "lower": np.array([variable.lower for variable in self.variables], dtype=float),
-            "upper": np.array([variable.upper for variable in self.variables], dtype=float),
-            "integrality": np.array(
-                [1 if variable.vartype.is_integral else 0 for variable in self.variables]
-            ),
+            "row_lower": np.array(self._row_lower, dtype=float),
+            "row_upper": np.array(self._row_upper, dtype=float),
+            "lower": np.array(self._lower, dtype=float),
+            "upper": np.array(self._upper, dtype=float),
+            "integrality": np.array(self._integral, dtype=np.int64),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MILPModel({self.name}, {self.num_variables} vars "
-            f"({self.num_integer_variables} integral), {self.num_constraints} constraints)"
+            f"({sum(self._integral)} integral), {self.num_constraints} constraints)"
         )
+
+
+def _append(buffer: array, values: np.ndarray) -> array:
+    """Append a NumPy array to a typed buffer of the same item type."""
+    buffer.frombytes(np.ascontiguousarray(values, dtype=buffer.typecode).tobytes())
+    return buffer

@@ -268,7 +268,7 @@ class TestSinglePassRestriction:
             canonical_right = right
 
         _Problem.mapping = mapping
-        lefts, rights, mappings = _restrict_by_partition(_Problem, partitions)
+        lefts, rights, mappings, cut = _restrict_by_partition(_Problem, partitions)
 
         for position, partition in enumerate(partitions):
             expected_left = [t.key for t in left.tuples if t.key in partition.left_keys]
@@ -281,8 +281,9 @@ class TestSinglePassRestriction:
             assert [t.key for t in lefts[position].tuples] == expected_left
             assert [t.key for t in rights[position].tuples] == expected_right
             assert [m.pair for m in mappings[position]] == expected_matches
-        # The cut match belongs to no partition.
+        # The cut match belongs to no partition and is returned on its own.
         assert all(("l0", "r2") not in m.pairs() for m in mappings)
+        assert [m.pair for m in cut] == [("l0", "r2")]
 
 
 class TestScoringCaches:

@@ -894,6 +894,20 @@ class TestRunsEndpoint:
         assert excinfo.value.error_type == "RunError"
         assert excinfo.value.path == pointer
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_non_finite_compared_values_are_typed_400s(self, mutable_server, side, value):
+        import copy
+
+        payload = copy.deepcopy(RUNS_PAYLOAD)
+        payload["runs"][side]["records"][1]["v"] = value  # JSON NaN / Infinity
+        with pytest.raises(ServiceClientError) as excinfo:
+            mutable_server.explain(payload)
+        assert excinfo.value.status == 400
+        assert excinfo.value.error_type == "NonFiniteImpactError"
+        assert side in excinfo.value.detail
+        assert repr(value) in excinfo.value.detail
+
     def test_runs_and_declarative_paths_are_byte_identical(self, mutable_server):
         from repro.fleet.__main__ import canonical_report
         from repro.runs import build_run_problem
