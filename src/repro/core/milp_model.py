@@ -508,9 +508,9 @@ class MILPTransformation:
 
         evidence = TupleMapping()
         for position in np.flatnonzero(np.round(x[self._match_columns]) >= 1).tolist():
-            left_key, right_key = self._usable[position].pair
-            probability = self.mapping.probability(left_key, right_key) or 1.0
-            evidence.add(TupleMatch(left_key, right_key, probability))
+            match = self._usable[position]
+            # A fresh match: evidence reports the probability, not the score.
+            evidence.add(TupleMatch(match.left_key, match.right_key, match.probability))
 
         return ExplanationSet(
             provenance=provenance,

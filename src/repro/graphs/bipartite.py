@@ -1,10 +1,13 @@
-"""The bipartite match graph ``G = (T1, T2, M_tuple)``."""
+"""The bipartite match graph ``G = (T1, T2, M_tuple)`` in array form."""
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable
+
+import numpy as np
+from scipy.sparse import coo_array
+from scipy.sparse.csgraph import connected_components
 
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
 
@@ -19,40 +22,17 @@ class Side(enum.Enum):
         return Side.RIGHT if self is Side.LEFT else Side.LEFT
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    """A node of the bipartite graph: a canonical tuple on one side."""
-
-    side: Side
-    key: str
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{self.side.value}:{self.key}"
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    """An edge of the bipartite graph: a probabilistic tuple match."""
-
-    left_key: str
-    right_key: str
-    probability: float
-
-    @property
-    def left_node(self) -> GraphNode:
-        return GraphNode(Side.LEFT, self.left_key)
-
-    @property
-    def right_node(self) -> GraphNode:
-        return GraphNode(Side.RIGHT, self.right_key)
-
-
 class MatchGraph:
     """Bipartite graph over left/right canonical tuple keys with match edges.
 
-    Nodes without any incident edge are kept: they correspond to tuples that
-    can only be explained as provenance-based explanations, and they must
-    still be assigned to a partition.
+    Node ``i`` is ``left_keys[i]`` for ``i < len(left_keys)`` and
+    ``right_keys[i - len(left_keys)]`` after that.  Edge ``e`` (mapping order)
+    joins left position ``edge_left[e]`` to right position ``edge_right[e]``
+    with probability ``edge_probability[e]``; a match naming a key outside the
+    key lists appends that key as a node.  Nodes without any incident edge are
+    kept: they correspond to tuples that can only be explained as
+    provenance-based explanations, and they must still be assigned to a
+    partition.
     """
 
     def __init__(
@@ -61,78 +41,58 @@ class MatchGraph:
         right_keys: Iterable[str],
         mapping: TupleMapping | Iterable[TupleMatch] = (),
     ):
-        self.left_keys = list(dict.fromkeys(left_keys))
-        self.right_keys = list(dict.fromkeys(right_keys))
-        self._left_set = set(self.left_keys)
-        self._right_set = set(self.right_keys)
-        self.edges: list[GraphEdge] = []
-        self._left_adjacency: dict[str, list[GraphEdge]] = {key: [] for key in self.left_keys}
-        self._right_adjacency: dict[str, list[GraphEdge]] = {key: [] for key in self.right_keys}
+        left = {key: position for position, key in enumerate(dict.fromkeys(left_keys))}
+        right = {key: position for position, key in enumerate(dict.fromkeys(right_keys))}
+        lefts: list[int] = []
+        rights: list[int] = []
+        probabilities: list[float] = []
         for match in mapping:
-            self.add_edge(match.left_key, match.right_key, match.probability)
+            lefts.append(left.setdefault(match.left_key, len(left)))
+            rights.append(right.setdefault(match.right_key, len(right)))
+            probabilities.append(match.probability)
+        self.left_keys = list(left)
+        self.right_keys = list(right)
+        self.edge_left = np.array(lefts, dtype=np.intp)
+        self.edge_right = np.array(rights, dtype=np.intp)
+        self.edge_probability = np.array(probabilities, dtype=float)
 
-    # -- construction -------------------------------------------------------------
-    def add_edge(self, left_key: str, right_key: str, probability: float) -> None:
-        if left_key not in self._left_set:
-            self.left_keys.append(left_key)
-            self._left_set.add(left_key)
-            self._left_adjacency[left_key] = []
-        if right_key not in self._right_set:
-            self.right_keys.append(right_key)
-            self._right_set.add(right_key)
-            self._right_adjacency[right_key] = []
-        edge = GraphEdge(left_key, right_key, probability)
-        self.edges.append(edge)
-        self._left_adjacency[left_key].append(edge)
-        self._right_adjacency[right_key].append(edge)
-
-    # -- accessors ----------------------------------------------------------------
     @property
     def num_nodes(self) -> int:
         return len(self.left_keys) + len(self.right_keys)
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return len(self.edge_probability)
 
-    def nodes(self) -> Iterator[GraphNode]:
-        for key in self.left_keys:
-            yield GraphNode(Side.LEFT, key)
-        for key in self.right_keys:
-            yield GraphNode(Side.RIGHT, key)
+    # -- grouping -----------------------------------------------------------------
+    def components(self, edges: np.ndarray) -> tuple[int, np.ndarray]:
+        """Label every node by its connected component over the ``edges`` mask.
 
-    def edges_of(self, node: GraphNode) -> Sequence[GraphEdge]:
-        if node.side is Side.LEFT:
-            return self._left_adjacency.get(node.key, ())
-        return self._right_adjacency.get(node.key, ())
+        Returns the component count and one label per node; components are
+        numbered in order of their first node (left keys, then right keys).
+        """
+        size = self.num_nodes
+        rows = self.edge_left[edges]
+        columns = self.edge_right[edges] + len(self.left_keys)
+        adjacency = coo_array((np.ones(len(rows)), (rows, columns)), shape=(size, size))
+        return connected_components(adjacency, directed=False)
 
-    def neighbors(self, node: GraphNode) -> list[GraphNode]:
-        if node.side is Side.LEFT:
-            return [edge.right_node for edge in self._left_adjacency.get(node.key, ())]
-        return [edge.left_node for edge in self._right_adjacency.get(node.key, ())]
+    def endpoint_labels(self, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The labels of every edge's left and right endpoints."""
+        return labels[self.edge_left], labels[self.edge_right + len(self.left_keys)]
 
-    def degree(self, node: GraphNode) -> int:
-        return len(self.edges_of(node))
-
-    def subgraph(self, left_keys: set[str], right_keys: set[str]) -> "MatchGraph":
-        """Induced subgraph over a subset of left/right keys."""
-        sub = MatchGraph(
-            [key for key in self.left_keys if key in left_keys],
-            [key for key in self.right_keys if key in right_keys],
-        )
-        for edge in self.edges:
-            if edge.left_key in left_keys and edge.right_key in right_keys:
-                sub.add_edge(edge.left_key, edge.right_key, edge.probability)
-        return sub
-
-    def to_mapping(self) -> TupleMapping:
-        """The edges as a :class:`TupleMapping` (used to slice M_tuple per partition)."""
-        return TupleMapping(
-            TupleMatch(edge.left_key, edge.right_key, edge.probability) for edge in self.edges
-        )
+    def groups(self, labels: np.ndarray, count: int) -> list[tuple[list[str], list[str]]]:
+        """The left and right keys carrying each label ``0 .. count - 1``."""
+        groups: list[tuple[list[str], list[str]]] = [([], []) for _ in range(count)]
+        split = len(self.left_keys)
+        for key, label in zip(self.left_keys, labels[:split].tolist()):
+            groups[label][0].append(key)
+        for key, label in zip(self.right_keys, labels[split:].tolist()):
+            groups[label][1].append(key)
+        return groups
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MatchGraph({len(self.left_keys)} left, {len(self.right_keys)} right, "
-            f"{len(self.edges)} edges)"
+            f"{self.num_edges} edges)"
         )

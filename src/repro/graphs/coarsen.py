@@ -12,114 +12,58 @@ partitioner itself when the (pre-partitioned) graph is still large.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable
+from dataclasses import dataclass
 
-from repro.graphs.bipartite import GraphNode, MatchGraph, Side
+import numpy as np
+
+from repro.graphs.bipartite import MatchGraph
 from repro.graphs.weighting import WeightingParams, adjust_weight
 
 
 @dataclass
-class SuperNode:
-    """A merged group of bipartite nodes (Algorithm 2, MergeTuples)."""
-
-    index: int
-    left_keys: set[str] = field(default_factory=set)
-    right_keys: set[str] = field(default_factory=set)
-
-    @property
-    def size(self) -> int:
-        """Number of original tuples in the supernode (the balancing measure)."""
-        return len(self.left_keys) + len(self.right_keys)
-
-    def add(self, node: GraphNode) -> None:
-        if node.side is Side.LEFT:
-            self.left_keys.add(node.key)
-        else:
-            self.right_keys.add(node.key)
-
-
-@dataclass
 class CoarseGraph:
-    """The simplified graph ``G_c = (C1, C2, M_c)`` produced by Algorithm 2."""
+    """The simplified graph ``G_c = (C1, C2, M_c)`` produced by Algorithm 2.
 
-    supernodes: list[SuperNode]
+    ``supernode_of`` labels every match-graph node with its supernode,
+    ``sizes`` counts the tuples of each supernode (the balancing measure),
+    and ``edges`` sums the re-weighted matches between two supernodes, keyed
+    ``(min, max)`` in order of their first match.
+    """
+
+    supernode_of: np.ndarray
+    sizes: list[int]
     edges: dict[tuple[int, int], float]
-    node_of: dict[GraphNode, int]
 
     @property
     def num_nodes(self) -> int:
-        return len(self.supernodes)
+        return len(self.sizes)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def adjacency(self) -> list[dict[int, float]]:
-        """Symmetric adjacency lists (neighbor supernode -> total weight)."""
-        adjacency: list[dict[int, float]] = [dict() for _ in self.supernodes]
-        for (a, b), weight in self.edges.items():
-            adjacency[a][b] = adjacency[a].get(b, 0.0) + weight
-            adjacency[b][a] = adjacency[b].get(a, 0.0) + weight
-        return adjacency
-
-    def sizes(self) -> list[int]:
-        return [supernode.size for supernode in self.supernodes]
-
-
-def _high_probability_component(
-    graph: MatchGraph, start: GraphNode, theta_high: float, visited: set[GraphNode]
-) -> list[GraphNode]:
-    """FindHighProbTuplesDFS: nodes reachable from ``start`` via edges with p >= theta_high."""
-    stack = [start]
-    component = []
-    visited.add(start)
-    while stack:
-        node = stack.pop()
-        component.append(node)
-        for edge in graph.edges_of(node):
-            if edge.probability < theta_high:
-                continue
-            neighbor = edge.right_node if node.side is Side.LEFT else edge.left_node
-            if neighbor not in visited:
-                visited.add(neighbor)
-                stack.append(neighbor)
-    return component
-
 
 def prepartition(graph: MatchGraph, params: WeightingParams = WeightingParams()) -> CoarseGraph:
-    """Algorithm 2: merge high-probability-connected tuples into supernodes.
+    """Algorithm 2: merge tuples connected by high-probability matches."""
+    return merge_tuples(graph, graph.edge_probability >= params.theta_high, params)
 
-    Runs in ``O(|T1| + |T2| + |M_tuple|)``: one DFS sweep to form supernodes,
-    one pass over the remaining matches to accumulate (re-weighted) edge
-    weights between supernodes.
+
+def merge_tuples(graph: MatchGraph, merged: np.ndarray, params: WeightingParams) -> CoarseGraph:
+    """Supernodes over the ``merged`` edge mask, plus the edges between them.
+
+    Lines 2-7 of Algorithm 2 are one connected-components labelling; lines
+    8-10 sum the re-weighted remaining matches between distinct supernodes
+    in mapping order (a match inside a supernode can never be cut).
     """
-    visited: set[GraphNode] = set()
-    supernodes: list[SuperNode] = []
-    node_of: dict[GraphNode, int] = {}
-
-    # Lines 2-7: merge tuples connected by high-probability matches.
-    for node in graph.nodes():
-        if node in visited:
-            continue
-        component = _high_probability_component(graph, node, params.theta_high, visited)
-        supernode = SuperNode(index=len(supernodes))
-        for member in component:
-            supernode.add(member)
-            node_of[member] = supernode.index
-        supernodes.append(supernode)
-
-    # Lines 8-10: accumulate edge weights between distinct supernodes.
+    count, supernode_of = graph.components(merged)
+    a, b = graph.endpoint_labels(supernode_of)
+    between = a != b
+    pairs = zip(np.minimum(a, b)[between].tolist(), np.maximum(a, b)[between].tolist())
     edges: dict[tuple[int, int], float] = {}
-    for edge in graph.edges:
-        a = node_of[edge.left_node]
-        b = node_of[edge.right_node]
-        if a == b:
-            continue  # internal to a supernode: can never be cut
-        key = (a, b) if a < b else (b, a)
-        edges[key] = edges.get(key, 0.0) + adjust_weight(edge.probability, params)
-
-    return CoarseGraph(supernodes, edges, node_of)
+    for key, probability in zip(pairs, graph.edge_probability[between].tolist()):
+        edges[key] = edges.get(key, 0.0) + adjust_weight(probability, params)
+    sizes = np.bincount(supernode_of, minlength=count).tolist()
+    return CoarseGraph(supernode_of, sizes, edges)
 
 
 def heavy_edge_matching(

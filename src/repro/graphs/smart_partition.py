@@ -16,11 +16,12 @@ The number of partitions follows the paper's experiments: ``k = ceil((|T1| +
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+
+import numpy as np
 
 from repro.graphs.bipartite import MatchGraph
-from repro.graphs.coarsen import prepartition
-from repro.graphs.components import connected_components
+from repro.graphs.coarsen import merge_tuples, prepartition
 from repro.graphs.partitioner import GraphPartitioner, WeightedGraph
 from repro.graphs.weighting import WeightingParams
 
@@ -65,14 +66,12 @@ class SmartPartitioner:
         *,
         batch_size: int = 1000,
         weighting: WeightingParams = WeightingParams(),
-        partitioner: GraphPartitioner | None = None,
         use_prepartitioning: bool = True,
     ):
         if batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         self.batch_size = batch_size
         self.weighting = weighting
-        self.partitioner = partitioner or GraphPartitioner()
         self.use_prepartitioning = use_prepartitioning
 
     # -- helpers ------------------------------------------------------------------
@@ -83,88 +82,49 @@ class SmartPartitioner:
     @staticmethod
     def by_connected_components(graph: MatchGraph) -> SmartPartitionResult:
         """The exact, accuracy-preserving split along connected components."""
+        count, component_of = graph.components(np.ones(graph.num_edges, dtype=bool))
         partitions = [
             TuplePartition(index, frozenset(left), frozenset(right))
-            for index, (left, right) in enumerate(connected_components(graph))
+            for index, (left, right) in enumerate(graph.groups(component_of, count))
         ]
-        return SmartPartitionResult(partitions, num_supernodes=len(partitions))
+        return SmartPartitionResult(partitions, num_supernodes=count)
 
     # -- main entry point ---------------------------------------------------------
-    def partition(self, graph: MatchGraph, *, num_parts: int | None = None) -> SmartPartitionResult:
+    def partition(self, graph: MatchGraph) -> SmartPartitionResult:
         """Split the match graph into bounded-size sub-problems."""
         if graph.num_nodes == 0:
             return SmartPartitionResult([])
 
-        k = num_parts if num_parts is not None else self.num_partitions(graph)
+        k = self.num_partitions(graph)
         if k <= 1:
             everything = TuplePartition(
                 0, frozenset(graph.left_keys), frozenset(graph.right_keys)
             )
             return SmartPartitionResult([everything], num_supernodes=graph.num_nodes)
 
-        # Line 1: pre-partition (Algorithm 2).  When disabled, every node is
-        # its own supernode, which reduces to plain graph partitioning.
+        # Line 1: pre-partition (Algorithm 2).  When disabled, no match merges
+        # its tuples: every node is its own supernode, which reduces to plain
+        # graph partitioning.
         if self.use_prepartitioning:
             coarse = prepartition(graph, self.weighting)
         else:
-            coarse = _identity_coarse(graph, self.weighting)
-        weighted = WeightedGraph.from_edges(coarse.num_nodes, coarse.edges, coarse.sizes())
+            coarse = merge_tuples(graph, np.zeros(graph.num_edges, dtype=bool), self.weighting)
+        weighted = WeightedGraph.from_edges(coarse.num_nodes, coarse.edges, coarse.sizes)
 
         # Line 2: partition the coarse graph.
-        partition = self.partitioner.partition(weighted, k, float(self.batch_size))
+        partition = GraphPartitioner().partition(weighted, k, float(self.batch_size))
 
         # Lines 3-6: expand supernodes back into tuple partitions.
-        left_groups: list[set[str]] = [set() for _ in range(k)]
-        right_groups: list[set[str]] = [set() for _ in range(k)]
-        for supernode, part in zip(coarse.supernodes, partition.assignment):
-            left_groups[part].update(supernode.left_keys)
-            right_groups[part].update(supernode.right_keys)
-
+        part_of = np.asarray(partition.assignment, dtype=np.intp)[coarse.supernode_of]
         partitions = [
             TuplePartition(index, frozenset(left), frozenset(right))
-            for index, (left, right) in enumerate(zip(left_groups, right_groups))
+            for index, (left, right) in enumerate(graph.groups(part_of, k))
             if left or right
         ]
-        cut_edges = sum(
-            1
-            for edge in graph.edges
-            if _part_of(edge.left_key, partitions, side="left")
-            != _part_of(edge.right_key, partitions, side="right")
-        )
+        left_part, right_part = graph.endpoint_labels(part_of)
         return SmartPartitionResult(
             partitions,
             num_supernodes=coarse.num_nodes,
             cut_weight=partition.cut,
-            cut_edges=cut_edges,
+            cut_edges=int(np.count_nonzero(left_part != right_part)),
         )
-
-
-def _part_of(key: str, partitions: list[TuplePartition], *, side: str) -> int:
-    for partition in partitions:
-        keys = partition.left_keys if side == "left" else partition.right_keys
-        if key in keys:
-            return partition.index
-    return -1
-
-
-def _identity_coarse(graph: MatchGraph, params: WeightingParams):
-    """A CoarseGraph with one supernode per original node (no merging)."""
-    from repro.graphs.bipartite import GraphNode, Side
-    from repro.graphs.coarsen import CoarseGraph, SuperNode
-    from repro.graphs.weighting import adjust_weight
-
-    supernodes: list[SuperNode] = []
-    node_of: dict[GraphNode, int] = {}
-    for node in graph.nodes():
-        supernode = SuperNode(index=len(supernodes))
-        supernode.add(node)
-        node_of[node] = supernode.index
-        supernodes.append(supernode)
-
-    edges: dict[tuple[int, int], float] = {}
-    for edge in graph.edges:
-        a = node_of[edge.left_node]
-        b = node_of[edge.right_node]
-        key = (a, b) if a < b else (b, a)
-        edges[key] = edges.get(key, 0.0) + adjust_weight(edge.probability, params)
-    return CoarseGraph(supernodes, edges, node_of)

@@ -10,12 +10,13 @@ semantics:
 * **open** -- after ``failure_threshold`` consecutive failures, requests are
   rejected immediately for ``reset_seconds``;
 * **half-open** -- after the cool-down one probe request is let through; its
-  success closes the breaker, its failure re-opens it.
+  success closes the breaker, its failure re-opens it, and an outcome that
+  is no health signal releases the slot for the next probe.
 
 Breakers are deliberately conservative about what counts as a failure: the
 caller decides (the service records only unexpected pipeline errors --
 client mistakes, deadline expiry and cancellations are not dependency-health
-signals).
+signals, and it releases them instead).
 """
 
 from __future__ import annotations
@@ -92,6 +93,15 @@ class CircuitBreaker:
             self._opened_at = None
             self._half_open_probe = False
 
+    def release(self) -> None:
+        """Settle a request whose outcome says nothing about health.
+
+        Frees the half-open probe slot (so the next request may probe) and
+        changes no count and no state.
+        """
+        with self._lock:
+            self._half_open_probe = False
+
     def record_failure(self) -> None:
         with self._lock:
             self.total_failures += 1
@@ -133,16 +143,30 @@ class BreakerRegistry:
             return self._breakers[key]
 
     def acquire(self, *keys: str) -> None:
-        """Admit a request touching every key, or raise for the first open one."""
-        for key in keys:
-            self.breaker(key).acquire()
+        """Admit a request touching every key, or raise for the first open one.
+
+        A key named twice is one breaker, acquired once.  When a later key
+        rejects, the keys already admitted are released again.
+        """
+        admitted: list[str] = []
+        try:
+            for key in dict.fromkeys(keys):
+                self.breaker(key).acquire()
+                admitted.append(key)
+        except CircuitOpenError:
+            self.release(*admitted)
+            raise
+
+    def release(self, *keys: str) -> None:
+        for key in dict.fromkeys(keys):
+            self.breaker(key).release()
 
     def record_success(self, *keys: str) -> None:
-        for key in keys:
+        for key in dict.fromkeys(keys):
             self.breaker(key).record_success()
 
     def record_failure(self, *keys: str) -> None:
-        for key in keys:
+        for key in dict.fromkeys(keys):
             self.breaker(key).record_failure()
 
     def states(self) -> dict[str, dict]:

@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Optional
 
 from repro.core.explain3d import Explain3D, Explain3DConfig, ExplanationReport
+from repro.core.milp_model import NonFiniteImpactError
 from repro.core.problem import Stage1Artifacts, build_problem
 from repro.live import DeltaConflictError, DeltaError, apply_changes_copy, delta_affects
 from repro.matching.attribute_match import AttributeMatching
@@ -389,9 +390,15 @@ class ExplainService:
         self.breakers.acquire(request.database_left, request.database_right)
         try:
             result = self._serve(request, config, deadline, left, right, started)
-        except (DeadlineExceeded, OperationCancelled, UnknownDatabaseError):
+        except (
+            DeadlineExceeded, OperationCancelled, UnknownDatabaseError,
+            EmptyAggregateError, NonFiniteImpactError,
+        ):
             # Not a dependency-health signal: the request ran out of budget,
-            # was cancelled, or named nothing -- the databases are fine.
+            # was cancelled, named nothing, or asked for an aggregate its data
+            # cannot give (a 400) -- the databases are fine.  Releasing frees
+            # a half-open probe slot for the next request.
+            self.breakers.release(request.database_left, request.database_right)
             raise
         except Exception:
             self.breakers.record_failure(request.database_left, request.database_right)

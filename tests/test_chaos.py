@@ -23,9 +23,11 @@ import time
 import pytest
 
 from repro import Explain3DConfig, Priors, matching
+from repro.core.milp_model import NonFiniteImpactError
 from repro.core.partitioning import PartitionedSolver, SolveConfig
 from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_pair
 from repro.reliability import (
+    BreakerRegistry,
     CircuitBreaker,
     CircuitOpenError,
     Deadline,
@@ -37,6 +39,7 @@ from repro.reliability import (
     RetryPolicy,
     retry_call,
 )
+from repro.relational.errors import EmptyAggregateError
 from repro.reliability.faults import FAULTS, KNOWN_SITES, inject
 from repro.service import (
     ArtifactCache,
@@ -46,6 +49,7 @@ from repro.service import (
     JobState,
     ServiceConfig,
 )
+from repro.service.api import database_from_spec, request_from_payload
 
 
 @pytest.fixture(autouse=True)
@@ -248,6 +252,37 @@ class TestCircuitBreaker:
         breaker.acquire()
         breaker.record_failure()
         assert breaker.state == "open"
+
+    def test_released_probe_frees_the_slot_and_keeps_counts(self):
+        breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.02)
+        breaker.record_failure()
+        time.sleep(0.03)
+        breaker.acquire()  # the probe ends with no health signal
+        breaker.release()
+        breaker.acquire()  # so the next request may probe
+        assert breaker.as_dict() == {
+            "state": "half-open",
+            "consecutive_failures": 1,
+            "total_failures": 1,
+            "total_rejections": 0,
+        }
+
+    def test_registry_releases_admitted_keys_when_a_later_key_rejects(self):
+        registry = BreakerRegistry(failure_threshold=1, reset_seconds=0.5)
+        registry.record_failure("a")
+        time.sleep(0.55)
+        registry.record_failure("b")  # "a" half-open, "b" freshly open
+        with pytest.raises(CircuitOpenError):
+            registry.acquire("a", "b")
+        registry.acquire("a")  # the probe slot of "a" was not stranded
+
+    def test_registry_acquires_a_key_named_twice_once(self):
+        registry = BreakerRegistry(failure_threshold=1, reset_seconds=0.02)
+        registry.record_failure("a")
+        time.sleep(0.03)
+        registry.acquire("a", "a")  # one breaker, one probe
+        registry.record_failure("a", "a")
+        assert registry.states()["a"]["total_failures"] == 2
 
 
 class TestRetry:
@@ -510,6 +545,53 @@ class TestServiceBreakers:
         with inject("solve.partition", "delay:0.05"):
             with pytest.raises(DeadlineExceeded):
                 service.explain(replace(figure1_request, deadline_seconds=0.02))
+        assert service.breakers.states()["D1"]["state"] == "closed"
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), NonFiniteImpactError),  # a NaN canonical impact
+        (None, EmptyAggregateError),           # SUM over an all-NULL column
+    ])
+    def test_client_data_errors_do_not_trip_the_breaker(self, value, error):
+        service = ExplainService(ServiceConfig(breaker_failures=2, breaker_reset_seconds=30.0))
+        records = [{"id": i, "v": value if value is None or i == 1 else float(i)} for i in range(3)]
+        for name in ("B1", "B2"):
+            service.register_database(database_from_spec({"name": name, "relations": {"T": records}}))
+
+        def request(kind):
+            queries = {
+                side: {"name": f"Q{side}", "kind": kind, "relation": "T", "attribute": "v"}
+                for side in ("left", "right")
+            }
+            return request_from_payload({
+                "database_left": "B1", "query_left": queries["left"],
+                "database_right": "B2", "query_right": queries["right"],
+                "attribute_matches": [["id", "id"]],
+            })
+
+        for _ in range(3):
+            with pytest.raises(error):
+                service.explain(request("sum"))
+        assert service.breakers.states()["B1"]["state"] == "closed"
+        assert service.breakers.states()["B1"]["total_failures"] == 0
+        service.explain(request("count"))  # the databases are still served
+
+    def test_exempt_outcome_frees_the_half_open_probe(
+        self, figure1_db1, figure1_db2, figure1_request
+    ):
+        from dataclasses import replace
+
+        service = ExplainService(ServiceConfig(breaker_failures=1, breaker_reset_seconds=0.05))
+        service.register_database(figure1_db1, "D1")
+        service.register_database(figure1_db2, "D2")
+        with inject("solve.partition", "raise"):
+            with pytest.raises(InjectedFault):
+                service.explain(figure1_request)
+        time.sleep(0.06)
+        # The half-open probe runs out of budget: no health signal either way.
+        with inject("solve.partition", "delay:0.05"):
+            with pytest.raises(DeadlineExceeded):
+                service.explain(replace(figure1_request, deadline_seconds=0.02))
+        service.explain(figure1_request)  # admitted as the next probe
         assert service.breakers.states()["D1"]["state"] == "closed"
 
     def test_unknown_database_keeps_priority_over_open_breaker(

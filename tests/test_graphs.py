@@ -1,11 +1,15 @@
 """Unit tests for the graph substrate (Section 4)."""
 
+import hashlib
+import json
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.graphs.bipartite import GraphNode, MatchGraph, Side
+from repro.datasets.synthetic import SyntheticConfig, generate_synthetic_pair
+from repro.graphs.bipartite import MatchGraph
 from repro.graphs.coarsen import contract, heavy_edge_matching, prepartition
-from repro.graphs.components import connected_components
 from repro.graphs.partitioner import GraphPartitioner, WeightedGraph
 from repro.graphs.refine import cut_weight, refine_partition
 from repro.graphs.smart_partition import SmartPartitioner
@@ -31,42 +35,48 @@ class TestMatchGraph:
         assert graph.num_nodes == 8
         assert graph.num_edges == 4
 
-    def test_neighbors_and_degree(self):
+    def test_edge_arrays_follow_mapping_order(self):
         graph = sample_graph()
-        node = GraphNode(Side.LEFT, "l1")
-        assert {n.key for n in graph.neighbors(node)} == {"r0", "r1"}
-        assert graph.degree(node) == 2
-        assert graph.degree(GraphNode(Side.RIGHT, "r3")) == 0
-
-    def test_subgraph(self):
-        graph = sample_graph().subgraph({"l0", "l1"}, {"r0"})
-        assert graph.num_edges == 2
-        assert set(graph.left_keys) == {"l0", "l1"}
-
-    def test_to_mapping_round_trip(self):
-        graph = sample_graph()
-        assert graph.to_mapping().pairs() == {("l0", "r0"), ("l1", "r0"), ("l1", "r1"), ("l2", "r2")}
+        assert graph.edge_left.tolist() == [0, 1, 1, 2]
+        assert graph.edge_right.tolist() == [0, 0, 1, 2]
+        assert graph.edge_probability.tolist() == [0.95, 0.3, 0.92, 0.05]
 
     def test_add_edge_creates_missing_nodes(self):
-        graph = MatchGraph([], [])
-        graph.add_edge("a", "b", 0.5)
+        graph = MatchGraph([], [], [TupleMatch("a", "b", 0.5)])
         assert graph.num_nodes == 2
+        assert (graph.left_keys, graph.right_keys) == (["a"], ["b"])
 
 
 class TestComponents:
+    @staticmethod
+    def all_edges(graph: MatchGraph) -> np.ndarray:
+        return np.ones(graph.num_edges, dtype=bool)
+
     def test_connected_components(self):
-        components = connected_components(sample_graph())
-        sizes = sorted(len(left) + len(right) for left, right in components)
-        # {l0,l1,r0,r1}, {l2,r2}, and two isolated singletons.
-        assert sizes == [1, 1, 2, 4]
+        graph = sample_graph()
+        count, labels = graph.components(self.all_edges(graph))
+        # {l0,l1,r0,r1}, {l2,r2}, and two isolated singletons, numbered in
+        # first-node order (left keys, then right keys).
+        assert count == 4
+        assert labels.tolist() == [0, 0, 1, 2, 0, 0, 1, 3]
+        assert graph.groups(labels, count)[0] == (["l0", "l1"], ["r0", "r1"])
 
     def test_all_nodes_covered_once(self):
         graph = sample_graph()
-        components = connected_components(graph)
-        left_total = sum(len(left) for left, _ in components)
-        right_total = sum(len(right) for _, right in components)
+        count, labels = graph.components(self.all_edges(graph))
+        groups = graph.groups(labels, count)
+        left_total = sum(len(left) for left, _ in groups)
+        right_total = sum(len(right) for _, right in groups)
         assert left_total == len(graph.left_keys)
         assert right_total == len(graph.right_keys)
+
+    def test_edge_subset_and_endpoint_labels(self):
+        graph = sample_graph()
+        count, labels = graph.components(graph.edge_probability >= 0.9)
+        assert count == 6
+        # Only the 0.3 and 0.05 matches join different groups.
+        left, right = graph.endpoint_labels(labels)
+        assert (left != right).tolist() == [False, True, False, True]
 
 
 class TestWeighting:
@@ -87,8 +97,7 @@ class TestPrepartition:
     def test_high_probability_edges_merge(self):
         coarse = prepartition(sample_graph(), WeightingParams())
         # l0-r0 (0.95) merge; l1-r1 (0.92) merge; but l1-r0 (0.3) keeps them apart.
-        merged_sizes = sorted(s.size for s in coarse.supernodes)
-        assert max(merged_sizes) == 2
+        assert coarse.sizes == [2, 2, 1, 1, 1, 1]
         assert coarse.num_nodes == 6
         # The 0.3 edge now connects two supernodes.
         assert coarse.num_edges >= 1
@@ -229,3 +238,45 @@ class TestSmartPartitioner:
         result = SmartPartitioner(batch_size=batch * 5).partition(graph)
         assert sorted(k for p in result for k in p.left_keys) == sorted(graph.left_keys)
         assert sorted(k for p in result for k in p.right_keys) == sorted(graph.right_keys)
+
+
+def partition_digest(result) -> list:
+    return [
+        [[p.index, sorted(p.left_keys), sorted(p.right_keys)] for p in result.partitions],
+        result.num_supernodes,
+        result.cut_edges,
+        repr(result.cut_weight),
+    ]
+
+
+class TestGoldenPartitions:
+    """Partitions and their statistics are pinned on synthetic n=300 pairs.
+
+    Every solve statistic and every per-partition MILP follows from these
+    partitions, so a change to the grouping, the coarse edge order or the
+    cut count shows here first.  The digests were recorded from the
+    object-graph implementation this array form replaced.
+    """
+
+    GOLDEN = {
+        1: "4660130b6b1c5ea5b525cf50f8e4f839a5fa45a7fcd4f9a80c46361351547c16",
+        2: "a566ff36d4de5e1ffa736746edd8e20046c26ecdfad25b9d827de0d0f8d05e63",
+        3: "e0c30153b7bbec7bfc91d318b5b66695c0efc2437514c997a697cefd162b01df",
+    }
+
+    @pytest.mark.parametrize("seed", sorted(GOLDEN))
+    def test_smart_and_components_digest(self, seed):
+        pair = generate_synthetic_pair(
+            SyntheticConfig(num_tuples=300, vocabulary_size=500, difference_ratio=0.2, seed=seed)
+        )
+        graph = pair.build_problem()[0].match_graph()
+        digests = {
+            f"smart-{batch}-{prepartitioning}": partition_digest(
+                SmartPartitioner(batch_size=batch, use_prepartitioning=prepartitioning).partition(graph)
+            )
+            for batch in (60, 100)
+            for prepartitioning in (True, False)
+        }
+        digests["components"] = partition_digest(SmartPartitioner.by_connected_components(graph))
+        blob = json.dumps(digests, sort_keys=True).encode()
+        assert hashlib.sha256(blob).hexdigest() == self.GOLDEN[seed]

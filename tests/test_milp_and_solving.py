@@ -126,6 +126,19 @@ class TestMILPBehaviour:
         assert len(explanations.evidence) == 1
         assert not explanations.provenance
 
+    def test_zero_probability_evidence_keeps_its_probability(self):
+        """A selected match reports its initial probability, 0.0 included."""
+        problem = make_problem(
+            {"a": 1.0}, {"a": 1.0}, [("a", "a", 0.0)], priors=Priors(0.99, 0.9)
+        )
+        explanations = MILPTransformation(
+            problem.canonical_left, problem.canonical_right, problem.mapping,
+            problem.relation, problem.priors,
+        ).solve()
+        [match] = list(explanations.evidence)
+        assert match.pair == (problem.canonical_left.keys()[0], problem.canonical_right.keys()[0])
+        assert match.probability == 0.0
+
     def test_equivalence_resolves_conflicts_globally(self):
         """The A/B/A'/B' example from Section 5.2: the cross pair has the highest
         probability, but selecting it would leave two tuples unmatched."""
