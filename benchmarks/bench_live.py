@@ -26,6 +26,16 @@ A third section micro-benchmarks ``Relation.fingerprint()``: the rolling
 digest is memoized, so the steady-state call the cache layer makes on every
 lookup must be orders of magnitude cheaper than rehashing the table.
 
+The ``ingest_history`` section times one out-of-provenance ingest while the
+service remembers 1, 100 and 400 request shapes over the ingested database
+(the bench question at as many ``min_similarity`` values).  Nothing may be
+evicted -- every cached artifact of every shape is rewired -- and the
+refreshed answers must equal a cold rebuild.  Each shape's key material is
+canonicalized once, when the shape is first seen, so the 400-shape ingest
+must canonicalize no query AST (counted through
+``repro.relational.query._canonical_description``): its cost per remembered
+shape is key hashing only.
+
 Results go to ``BENCH_live.json``.  Run with::
 
     PYTHONPATH=src python benchmarks/bench_live.py
@@ -36,15 +46,17 @@ from __future__ import annotations
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 if str(ROOT / "src") not in sys.path:
     sys.path.insert(0, str(ROOT / "src"))
 
-from repro import Database, Scan, col, count_query, matching
+from repro import Database, Explain3DConfig, Scan, col, count_query, matching
 from repro.fleet.__main__ import canonical_report
 from repro.live import apply_changes
+from repro.relational import query as query_module
 from repro.relational.relation import Relation
 from repro.service import ExplainRequest, ExplainService
 
@@ -57,6 +69,8 @@ DELTA_ROWS = 2                  # ceil(1%) of ROWS_PER_SIDE rows per delta
 RECOMPUTE_PASSES = 3            # best-of passes for the cold-rebuild side
 MICRO_ROWS = 20_000             # fingerprint micro-bench table size
 MICRO_CALLS = 10_000            # memoized calls timed per pass
+HISTORY_ROWS = 24               # rows per side: a remembered shape is a cheap explain
+HISTORY_SHAPES = (1, 100, 400)  # remembered request shapes at each timed ingest
 
 
 def build_rows(rows: int = ROWS_PER_SIDE) -> tuple[list[dict], list[dict]]:
@@ -203,6 +217,75 @@ def run_fingerprint_microbench() -> dict:
     }
 
 
+def history_request(shape: int) -> ExplainRequest:
+    """The bench question as its ``shape``-th remembered shape (own problem key)."""
+    return replace(build_request(), config=Explain3DConfig(min_similarity=shape * 1e-4))
+
+
+def run_ingest_history() -> dict:
+    """One out-of-provenance ingest's latency against a growing shape history.
+
+    The shapes share provenance, features and candidates and differ in their
+    problem and report keys, so every ingest re-keys all of them.  Each timed
+    ingest deletes another ``Univ = 'B'`` row, outside Q2's provenance.
+    """
+    left_rows, right_rows = build_rows(HISTORY_ROWS)
+    service = build_service(left_rows, right_rows)
+    remembered, deleted, ingests = 0, [], []
+    for shapes in HISTORY_SHAPES:
+        while remembered < shapes:
+            service.explain(history_request(remembered))
+            remembered += 1
+        specs = [{"op": "delete", "row_id": f"BR:{2 * len(ingests)}"}]
+        canonical_forms = 0
+        original = query_module._canonical_description
+
+        def counting(node):
+            nonlocal canonical_forms
+            canonical_forms += 1
+            return original(node)
+
+        query_module._canonical_description = counting
+        try:
+            start = time.perf_counter()
+            summary = service.ingest("bench_right", "BR", specs)
+            seconds = time.perf_counter() - start
+        finally:
+            query_module._canonical_description = original
+        deleted += specs
+        ingests.append({
+            "remembered_shapes": shapes,
+            "ingest_seconds": round(seconds, 6),
+            "seconds_per_shape": round(seconds / shapes, 9),
+            "canonical_forms": canonical_forms,
+            "caches": summary["caches"],
+        })
+
+    # Identity first: refreshed answers equal a cold rebuild over the
+    # post-delta rows, for the oldest, a middle and the newest shape.  The
+    # newest one's report was rewired; older reports may have aged out of
+    # the report cache's LRU bound and be recomputed.
+    post_right = apply_to_rows(right_rows, "BR", deleted)
+    for shape in (0, remembered // 2, remembered - 1):
+        request = history_request(shape)
+        refreshed, result = canon(service, request)
+        cold, _ = canon(build_service(left_rows, post_right), request)
+        if refreshed != cold:
+            raise AssertionError(f"ingest_history: shape {shape} diverged from a cold rebuild")
+    if not result.cached_report:
+        raise AssertionError("ingest_history: the newest shape's report was not rewired")
+    for ingest in ingests:
+        if ingest["caches"]["evicted"] != 0:
+            raise AssertionError(
+                f"ingest_history: an out-of-provenance ingest must evict nothing: {ingest}"
+            )
+    return {
+        "rows_per_side": HISTORY_ROWS,
+        "ingests": ingests,
+        "reports_identical_to_cold_rebuild": True,
+    }
+
+
 def main() -> dict:
     left_rows, right_rows = build_rows()
 
@@ -244,6 +327,7 @@ def main() -> dict:
         )
 
     fingerprint = run_fingerprint_microbench()
+    history = run_ingest_history()
 
     results = {
         "workload": {
@@ -254,6 +338,7 @@ def main() -> dict:
         "unaffected_delta": unaffected,
         "affecting_delta": affecting,
         "fingerprint_microbench": fingerprint,
+        "ingest_history": history,
         "min_incremental_speedup": MIN_INCREMENTAL_SPEEDUP,
     }
 
@@ -281,6 +366,14 @@ def main() -> dict:
         f"{fingerprint['speedup']}x"
     )
 
+    for ingest in history["ingests"]:
+        print(
+            f"[live] ingest with {ingest['remembered_shapes']} remembered shapes: "
+            f"{ingest['ingest_seconds'] * 1e3:.2f}ms "
+            f"({ingest['caches']['rewired']} rewired / 0 evicted, "
+            f"{ingest['canonical_forms']} query canonical forms)"
+        )
+
     if unaffected["speedup"] < MIN_INCREMENTAL_SPEEDUP:
         raise AssertionError(
             f"incremental refresh only {unaffected['speedup']:.2f}x faster than "
@@ -290,6 +383,13 @@ def main() -> dict:
         raise AssertionError(
             f"memoized fingerprint only {fingerprint['speedup']:.1f}x faster than "
             f"a full rehash (floor {MIN_FINGERPRINT_SPEEDUP}x)"
+        )
+
+    largest = history["ingests"][-1]
+    if largest["canonical_forms"]:
+        raise AssertionError(
+            f"the {largest['remembered_shapes']}-shape ingest canonicalized query ASTs "
+            f"{largest['canonical_forms']} times; re-keying must hash cached key parts only"
         )
 
     RESULT_PATH.write_text(json.dumps(results, indent=2) + "\n")

@@ -12,7 +12,10 @@ Three solving modes are supported:
 Each partition's restriction + MILP build + solve is an independent unit: with
 ``workers > 1`` the units are dispatched to a thread or process pool
 (partitions are disjoint sub-problems, so the merge is order-preserving and
-the result is identical to the sequential ``workers=1`` path).  Restricting
+the result is identical to the sequential ``workers=1`` path).  Only the
+process pool can overlap solves: ``scipy.optimize.milp`` holds the GIL for
+the whole HiGHS run, so thread workers solve one partition at a time on any
+core count, for either backend.  Restricting
 the canonical relations and the mapping to the partitions is done in a single
 pass that buckets tuples and matches by partition, instead of one full scan
 per partition.

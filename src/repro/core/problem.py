@@ -26,10 +26,10 @@ from repro.matching.tuple_matching import (
     TupleMatch,
     generate_candidates,
 )
-from repro.relational.errors import EmptyAggregateError
-from repro.relational.executor import Database, scalar_result
+from repro.relational.errors import EmptyAggregateError, ExecutionError
+from repro.relational.executor import Database
 from repro.relational.provenance import ProvenanceRelation, provenance_relation
-from repro.relational.query import Query
+from repro.relational.query import Aggregate, AggregateFunction, Project, Query
 
 
 class NotComparableError(ValueError):
@@ -156,6 +156,51 @@ def _similarity_as_probability(candidates) -> TupleMapping:
     )
 
 
+def scalar_result(query: Query, provenance: ProvenanceRelation):
+    """The query's one-value result, read off its provenance relation.
+
+    Equal to :func:`repro.relational.executor.scalar_result` of the query over
+    its database -- the same value, ``None`` for a non-COUNT aggregate over
+    no rows, the same :class:`EmptyAggregateError` for one over NULLs only --
+    without planning or running the query again: the provenance already
+    holds, in executor order, the rows the outermost aggregate or projection
+    reads.  An ungrouped aggregate combines the aggregated attribute with the
+    executor's own kernel (:meth:`AggregateFunction.combine`); any other
+    query's result is the value of its one-row, one-column output.  Raises
+    :class:`ExecutionError`, as the executor does, when there is no such
+    output.
+    """
+    root = query.root
+    if isinstance(root, Aggregate) and not root.group_by:
+        if root.attribute is None:
+            return float(len(provenance))  # COUNT(*)
+        if root.attribute in provenance.attributes:
+            if not provenance.tuples and root.function is not AggregateFunction.COUNT:
+                return None  # the executor's explicit NULL of an empty aggregate
+            return root.function.combine(provenance.values(root.attribute))
+    elif not isinstance(root, Aggregate):
+        attributes = root.attributes if isinstance(root, Project) else provenance.attributes
+        if len(attributes) == 1 and attributes[0] in provenance.attributes:
+            values = provenance.values(attributes[0])
+            rows = len(values)
+            if isinstance(root, Project) and root.distinct:
+                rows = len(dict.fromkeys((value,) for value in values))
+            if rows == 1:
+                return values[0]
+    raise ExecutionError(f"query {query.name} has no one-row, one-column result")
+
+
+def _tagged_result(query: Query, provenance: ProvenanceRelation, pointer: str):
+    # An all-NULL aggregate input is a typed, user-actionable condition, not
+    # a missing result: tag it with the JSON pointer of the offending query
+    # so it surfaces as a 400 envelope.
+    try:
+        return scalar_result(query, provenance)
+    except EmptyAggregateError as exc:
+        exc.path = exc.path or pointer
+        raise
+
+
 def build_problem(
     query_left: Query,
     db_left: Database,
@@ -239,37 +284,16 @@ def build_problem(
 
     result_left = result_right = None
     if compute_results:
-
-        def scalar(query, db, planner, pointer):
-            # An all-NULL aggregate input is not a planner failure: both the
-            # optimized and the naive path raise it identically, so degrading
-            # (or collapsing the results to None) would just hide a typed,
-            # user-actionable condition.  Tag it with the JSON pointer of the
-            # offending query and let it surface as a 400 envelope.
-            try:
-                return scalar_result(query, db, planner=planner)
-            except EmptyAggregateError as exc:
-                exc.path = exc.path or pointer
-                raise
-
         try:
-            result_left = scalar(query_left, db_left, "optimized", "/query_left")
-            result_right = scalar(query_right, db_right, "optimized", "/query_right")
+            result_left = _tagged_result(query_left, provenance_left, "/query_left")
+            result_right = _tagged_result(query_right, provenance_right, "/query_right")
         except EmptyAggregateError:
             raise
-        except Exception:
-            # A planner failure must not erase the results (the problem may be
-            # cached and served to later requests): degrade to the naive
-            # interpreter first.  Only when that fails too is the query a
-            # non-aggregate with no scalar result, and the disagreement is
-            # judged on provenance rather than a single number.
-            try:
-                result_left = scalar(query_left, db_left, "naive", "/query_left")
-                result_right = scalar(query_right, db_right, "naive", "/query_right")
-            except EmptyAggregateError:
-                raise
-            except Exception:
-                result_left = result_right = None
+        except ExecutionError:
+            # A query with no one-value result (a list or grouped query): the
+            # pair gets neither result, and the disagreement is judged on
+            # provenance rather than a single number.
+            result_left = result_right = None
 
     return ExplainProblem(
         canonical_left=canonical_left,

@@ -217,7 +217,7 @@ class FleetRouter:
             if worker is None or worker.state == "dead" or worker.url is None:
                 continue
             try:
-                self.breakers.breaker(name).acquire()
+                admission = self.breakers.acquire(name)
             except CircuitOpenError:
                 continue
             attempts += 1
@@ -229,15 +229,15 @@ class FleetRouter:
             except WorkerUnavailable:
                 # The failover path: this worker is gone at the transport
                 # level; requests re-hash onto the next node of the ring.
-                self.breakers.record_failure(name)
+                self.breakers.record_failure(admission)
                 self._mark_dead(name)
                 with self._lock:
                     self._counters["failovers"] += 1
                 continue
             if status >= 500:
-                self.breakers.record_failure(name)
+                self.breakers.record_failure(admission)
             else:
-                self.breakers.record_success(name)
+                self.breakers.record_success(admission)
             with self._lock:
                 self._counters["routed"] += 1
             return status, body, name

@@ -237,11 +237,25 @@ class Query:
         ad-hoc callable conditions fall back to their default repr, which is
         only stable within one process (such queries still cache correctly
         in-memory, they just never share cache entries across processes).
+
+        The AST is frozen, so the hash is computed once per instance and
+        memoized; the memo is dropped on pickling (see :meth:`__getstate__`).
         """
-        digest = hashlib.sha256()
-        digest.update(self.name.encode())
-        digest.update(repr(_canonical_description(self.root)).encode())
-        return digest.hexdigest()
+        memo = self.__dict__.get("_fingerprint")
+        if memo is None:
+            digest = hashlib.sha256()
+            digest.update(self.name.encode())
+            digest.update(repr(_canonical_description(self.root)).encode())
+            memo = digest.hexdigest()
+            object.__setattr__(self, "_fingerprint", memo)
+        return memo
+
+    def __getstate__(self) -> dict:
+        # A memoized fingerprint of a query with an ad-hoc callable condition
+        # embeds a memory address, valid only in this process: never ship it.
+        state = dict(self.__dict__)
+        state.pop("_fingerprint", None)
+        return state
 
     def to_sql(self) -> str:
         """SQL text of the query body (the name lives outside the SQL)."""

@@ -13,6 +13,13 @@ semantics:
   success closes the breaker, its failure re-opens it, and an outcome that
   is no health signal releases the slot for the next probe.
 
+Every admitted request settles exactly once -- ``record_success``,
+``record_failure`` or ``release`` -- passing back the token ``acquire``
+handed out.  The token marks the half-open probe, so only the probe's
+outcome settles the half-open state: a request admitted before the breaker
+opened cannot close it, re-open it or free the probe slot while the probe
+runs.
+
 Breakers are deliberately conservative about what counts as a failure: the
 caller decides (the service records only unexpected pipeline errors --
 client mistakes, deadline expiry and cancellations are not dependency-health
@@ -50,7 +57,7 @@ class CircuitBreaker:
         self._lock = threading.Lock()
         self._consecutive_failures = 0
         self._opened_at: float | None = None
-        self._half_open_probe = False
+        self._probe: object | None = None
         self.total_failures = 0
         self.total_rejections = 0
 
@@ -68,50 +75,71 @@ class CircuitBreaker:
         return "open"
 
     # -- the protocol -----------------------------------------------------------------
-    def acquire(self) -> None:
+    def acquire(self) -> object | None:
         """Admit one request or raise :class:`CircuitOpenError`.
 
-        In the half-open state exactly one probe request is admitted at a
-        time; concurrent requests keep failing fast until the probe settles.
+        Returns the request's token: a fresh probe token when it is the
+        half-open probe, ``None`` otherwise.  In the half-open state exactly
+        one probe request is admitted at a time; concurrent requests keep
+        failing fast until the probe settles.
         """
         with self._lock:
             state = self._state_locked()
             if state == "closed":
-                return
-            if state == "half-open" and not self._half_open_probe:
-                self._half_open_probe = True
-                return
+                return None
+            if state == "half-open" and self._probe is None:
+                self._probe = object()
+                return self._probe
             self.total_rejections += 1
             retry_after = max(
                 0.0, self.reset_seconds - (time.monotonic() - float(self._opened_at))
             )
             raise CircuitOpenError(self.key, retry_after)
 
-    def record_success(self) -> None:
-        with self._lock:
-            self._consecutive_failures = 0
-            self._opened_at = None
-            self._half_open_probe = False
+    def _is_probe(self, token: object | None) -> bool:
+        return token is not None and token is self._probe
 
-    def release(self) -> None:
-        """Settle a request whose outcome says nothing about health.
+    def record_success(self, token: object | None) -> None:
+        """Settle an admitted request that succeeded.
 
-        Frees the half-open probe slot (so the next request may probe) and
-        changes no count and no state.
+        The probe's success closes the breaker; any other success resets the
+        failure streak of a closed breaker and leaves an open one alone.
         """
         with self._lock:
-            self._half_open_probe = False
+            if self._is_probe(token):
+                self._probe = None
+                self._opened_at = None
+            if self._opened_at is None:
+                self._consecutive_failures = 0
 
-    def record_failure(self) -> None:
+    def release(self, token: object | None) -> None:
+        """Settle a request whose outcome says nothing about health.
+
+        Changes no count and no state; the probe's release frees the
+        half-open slot so the next request may probe.
+        """
+        with self._lock:
+            if self._is_probe(token):
+                self._probe = None
+
+    def record_failure(self, token: object | None) -> None:
+        """Settle an admitted request that failed.
+
+        The probe's failure re-opens the breaker for a fresh cool-down; on a
+        closed breaker the failure extends the streak and opens it at the
+        threshold.  A failure of a request admitted before the breaker
+        opened is counted and changes no state.
+        """
         with self._lock:
             self.total_failures += 1
-            self._consecutive_failures += 1
-            self._half_open_probe = False
-            if self._opened_at is not None:
-                # A failed half-open probe re-opens for a fresh cool-down.
+            if self._is_probe(token):
+                self._probe = None
+                self._consecutive_failures += 1
                 self._opened_at = time.monotonic()
-            elif self._consecutive_failures >= self.failure_threshold:
-                self._opened_at = time.monotonic()
+            elif self._opened_at is None:
+                self._consecutive_failures += 1
+                if self._consecutive_failures >= self.failure_threshold:
+                    self._opened_at = time.monotonic()
 
     def as_dict(self) -> dict:
         with self._lock:
@@ -142,32 +170,35 @@ class BreakerRegistry:
                 )
             return self._breakers[key]
 
-    def acquire(self, *keys: str) -> None:
+    def acquire(self, *keys: str) -> dict[str, object | None]:
         """Admit a request touching every key, or raise for the first open one.
 
-        A key named twice is one breaker, acquired once.  When a later key
-        rejects, the keys already admitted are released again.
+        Returns the admission: each distinct key mapped to its breaker's
+        token.  Settle it once with :meth:`release`, :meth:`record_success`
+        or :meth:`record_failure`.  A key named twice is one breaker,
+        acquired once.  When a later key rejects, the keys already admitted
+        are released again.
         """
-        admitted: list[str] = []
+        admission: dict[str, object | None] = {}
         try:
             for key in dict.fromkeys(keys):
-                self.breaker(key).acquire()
-                admitted.append(key)
+                admission[key] = self.breaker(key).acquire()
         except CircuitOpenError:
-            self.release(*admitted)
+            self.release(admission)
             raise
+        return admission
 
-    def release(self, *keys: str) -> None:
-        for key in dict.fromkeys(keys):
-            self.breaker(key).release()
+    def release(self, admission: dict[str, object | None]) -> None:
+        for key, token in admission.items():
+            self.breaker(key).release(token)
 
-    def record_success(self, *keys: str) -> None:
-        for key in dict.fromkeys(keys):
-            self.breaker(key).record_success()
+    def record_success(self, admission: dict[str, object | None]) -> None:
+        for key, token in admission.items():
+            self.breaker(key).record_success(token)
 
-    def record_failure(self, *keys: str) -> None:
-        for key in dict.fromkeys(keys):
-            self.breaker(key).record_failure()
+    def record_failure(self, admission: dict[str, object | None]) -> None:
+        for key, token in admission.items():
+            self.breaker(key).record_failure(token)
 
     def states(self) -> dict[str, dict]:
         with self._lock:

@@ -122,7 +122,7 @@ from repro.reliability.retry import RetryPolicy
 from repro.relational.errors import SchemaError
 from repro.relational.schema import DataType, Schema
 from repro.runs.spec import compile_runs_payload
-from repro.service.cache import fingerprint_of
+from repro.service.cache import ArtifactCache, fingerprint_of
 from repro.service.engine import ExplainRequest, ExplainService
 from repro.service.http import (
     JSONHTTPServer,
@@ -271,13 +271,42 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
     return node
 
 
-def query_from_spec(spec: dict, database=None, path: str = "") -> Query:
+def _compiled_sql(
+    sql: str, database, name, description, compiled: ArtifactCache | None
+) -> Query:
+    """Parse, bind and lower one SQL spec, reusing ``compiled`` when given.
+
+    The lowered tree depends only on the SQL text and on the relation and
+    column names it binds against, so those (with the query's name and
+    description) key the cache; a hit returns the same frozen
+    :class:`Query`, memoized fingerprint included.  Errors are not cached.
+    """
+    if compiled is None:
+        return parse_sql_query(sql, database, name=name, description=description)
+    schema = None
+    if database is not None:
+        schema = tuple(
+            (label, relation.schema.names)
+            for label, relation in sorted(database.relations().items())
+        )
+    return compiled.get_or_compute(
+        fingerprint_of(sql, name, description, schema),
+        lambda: parse_sql_query(sql, database, name=name, description=description),
+    )
+
+
+def query_from_spec(
+    spec: dict, database=None, path: str = "", *, compiled: ArtifactCache | None = None
+) -> Query:
     """Compile a JSON query spec into a :class:`~repro.relational.query.Query`.
 
     Three spec families are accepted:
 
     * ``{"sql": "SELECT ..."}`` -- real SQL, parsed and lowered by
-      :mod:`repro.sql` (bound against ``database`` when one is given);
+      :mod:`repro.sql` (bound against ``database`` when one is given, and
+      served from ``compiled`` -- a service's
+      :attr:`~repro.service.engine.ExplainService.compiled_queries` -- when
+      one is given);
     * ``{"kind": ..., "relation": ...}`` -- the flat single-relation form;
     * ``{"kind": ..., "source": {...}}`` -- the same kinds over a nested
       join/union/difference source tree (:func:`source_from_spec`).
@@ -297,13 +326,13 @@ def query_from_spec(spec: dict, database=None, path: str = "") -> Query:
                 f"{conflicting}; put the whole query in the SQL string",
                 f"{path}/sql",
             )
-        name = spec.get("name", "Q")
         try:
-            return parse_sql_query(
+            return _compiled_sql(
                 str(spec["sql"]),
                 database,
-                name=name,
-                description=spec.get("description", ""),
+                spec.get("name", "Q"),
+                spec.get("description", ""),
+                compiled,
             )
         except SqlError as exc:
             raise SpecError(f"bad SQL: {exc}", f"{path}/sql") from exc
@@ -461,7 +490,9 @@ def config_from_spec(spec: dict, path: str = "") -> Explain3DConfig:
         raise SpecError(f"bad config spec: {exc}", path) from exc
 
 
-def plan_request_from_payload(payload: dict, *, database_resolver=None):
+def plan_request_from_payload(
+    payload: dict, *, database_resolver=None, compiled: ArtifactCache | None = None
+):
     """Compile a ``POST /plan`` payload into ``(database_name, query, run)``."""
     if not isinstance(payload, dict):
         raise SpecError("plan payload must be a JSON object")
@@ -475,7 +506,7 @@ def plan_request_from_payload(payload: dict, *, database_resolver=None):
             database = database_resolver(name)
         except KeyError:
             database = None
-    query = query_from_spec(payload["query"], database, "/query")
+    query = query_from_spec(payload["query"], database, "/query", compiled=compiled)
     return name, query, bool(payload.get("run", True))
 
 
@@ -550,14 +581,17 @@ def runs_request_from_payload(payload: dict, service: ExplainService) -> Explain
     )
 
 
-def request_from_payload(payload: dict, *, database_resolver=None) -> ExplainRequest:
+def request_from_payload(
+    payload: dict, *, database_resolver=None, compiled: ArtifactCache | None = None
+) -> ExplainRequest:
     """Compile a full JSON request payload into an :class:`ExplainRequest`.
 
     ``database_resolver`` maps a registered database name to its
     :class:`Database` so SQL query specs bind against the real schema (the
-    daemon passes the service's registry).  A name the resolver cannot serve
-    compiles leniently here and surfaces as an unknown-database error once
-    the request reaches the engine.
+    daemon passes the service's registry, and the service's compiled-query
+    cache as ``compiled``).  A name the resolver cannot serve compiles
+    leniently here and surfaces as an unknown-database error once the
+    request reaches the engine.
     """
     if not isinstance(payload, dict):
         raise SpecError("request payload must be a JSON object")
@@ -599,11 +633,13 @@ def request_from_payload(payload: dict, *, database_resolver=None) -> ExplainReq
         )
     return ExplainRequest(
         query_left=query_from_spec(
-            payload["query_left"], _database("database_left"), "/query_left"
+            payload["query_left"], _database("database_left"), "/query_left",
+            compiled=compiled,
         ),
         database_left=str(payload["database_left"]),
         query_right=query_from_spec(
-            payload["query_right"], _database("database_right"), "/query_right"
+            payload["query_right"], _database("database_right"), "/query_right",
+            compiled=compiled,
         ),
         database_right=str(payload["database_right"]),
         attribute_matches=(
@@ -688,12 +724,18 @@ class ServiceHTTPServer(JSONHTTPServer):
         if "runs" in payload:
             request = runs_request_from_payload(payload, self.service)
         else:
-            request = request_from_payload(payload, database_resolver=self.service.database)
+            request = request_from_payload(
+                payload,
+                database_resolver=self.service.database,
+                compiled=self.service.compiled_queries,
+            )
         return self.service.explain(request).to_dict()
 
     def plan(self, payload: dict) -> dict:
         name, query, run = plan_request_from_payload(
-            payload, database_resolver=self.service.database
+            payload,
+            database_resolver=self.service.database,
+            compiled=self.service.compiled_queries,
         )
         return self.service.explain_plan(name, query, run=run)
 
@@ -705,7 +747,11 @@ class ServiceHTTPServer(JSONHTTPServer):
         return self.service.ingest(**ingest_request_from_payload(payload))
 
     def submit_job(self, payload: dict) -> tuple[int, dict]:
-        request = request_from_payload(payload, database_resolver=self.service.database)
+        request = request_from_payload(
+            payload,
+            database_resolver=self.service.database,
+            compiled=self.service.compiled_queries,
+        )
         # Single-flight: identical concurrent submissions (retries, duplicate
         # clicks, router failover) coalesce onto one job.
         job = self.jobs.submit(request, idempotency_key=fingerprint_of(payload))

@@ -67,6 +67,8 @@ def _canonical(value) -> object:
     Everything else falls back to ``repr`` (deterministic for the value types
     that flow through the pipeline: str, numbers, tuples, enums).
     """
+    if type(value) is str:  # the most common part (fingerprints, names): skip the probes
+        return repr(value)
     fingerprint_method = getattr(value, "fingerprint", None)
     if callable(fingerprint_method) and not isinstance(value, type):
         return value.fingerprint()
@@ -86,11 +88,28 @@ def _canonical(value) -> object:
     return repr(value)
 
 
+class EncodedPart:
+    """A key part canonicalized once, for reuse in many :func:`fingerprint_of` keys.
+
+    ``fingerprint_of(EncodedPart(x), ...)`` equals ``fingerprint_of(x, ...)``
+    bit for bit; the part's canonical form is just not recomputed per key.
+    Only a top-level part is recognized (nested in a tuple it is not).
+    """
+
+    __slots__ = ("data",)
+
+    def __init__(self, part):
+        self.data = repr(_canonical(part)).encode()
+
+
 def fingerprint_of(*parts) -> str:
     """A stable sha256 fingerprint of arbitrary (canonicalizable) parts."""
     digest = hashlib.sha256()
     for part in parts:
-        digest.update(repr(_canonical(part)).encode())
+        if isinstance(part, EncodedPart):
+            digest.update(part.data)
+        else:
+            digest.update(repr(_canonical(part)).encode())
         digest.update(b"\x1f")
     return digest.hexdigest()
 

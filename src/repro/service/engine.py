@@ -52,7 +52,7 @@ from repro.relational.query import Query
 from repro.reliability.breaker import BreakerRegistry
 from repro.reliability.deadline import Deadline, DeadlineExceeded, OperationCancelled
 from repro.reliability.faults import FAULTS
-from repro.service.cache import CacheRegistry, fingerprint_of
+from repro.service.cache import ArtifactCache, CacheRegistry, EncodedPart, fingerprint_of
 
 logger = logging.getLogger(__name__)
 
@@ -63,28 +63,104 @@ logger = logging.getLogger(__name__)
 #: a 409 conflict on the (stale) retry.
 _SIGNATURE_LIMIT = 512
 _DELTA_LOG_LIMIT = 512
+#: How many compiled ``{"sql": ...}`` queries the service keeps (see
+#: :attr:`ExplainService.compiled_queries`).
+_COMPILED_QUERY_LIMIT = 256
+
+
+@dataclass(frozen=True)
+class _KeyParts:
+    """A request shape's key material, each part canonicalized once.
+
+    Every artifact key is a :func:`fingerprint_of` over database fingerprints
+    and these parts.  Holding them as :class:`EncodedPart` bytes lets the
+    request path, ingest rewiring and version retirement hash cached bytes
+    plus fingerprints instead of re-canonicalizing queries, matches,
+    mappings and labels for every key; the keys are bit-identical to
+    ``fingerprint_of`` over the raw parts.
+    """
+
+    query_left: EncodedPart
+    query_right: EncodedPart
+    matches: EncodedPart
+    mapping: EncodedPart
+    labeled: EncodedPart
+    stage1: EncodedPart
+
+    @classmethod
+    def of(cls, request: "ExplainRequest", config: Explain3DConfig) -> "_KeyParts":
+        """The request's key parts; the Stage-1 config fields shape problem identity."""
+        return cls(
+            query_left=EncodedPart(request.query_left),
+            query_right=EncodedPart(request.query_right),
+            matches=EncodedPart(
+                tuple(request.attribute_matches.matches)
+                if request.attribute_matches is not None
+                else "auto"
+            ),
+            mapping=EncodedPart(
+                tuple(request.tuple_mapping.matches)
+                if request.tuple_mapping is not None
+                else "auto"
+            ),
+            labeled=EncodedPart(
+                request.labeled_pairs if request.labeled_pairs is not None else "none"
+            ),
+            stage1=EncodedPart(
+                (
+                    config.priors,
+                    config.num_buckets,
+                    config.min_similarity,
+                    config.min_match_probability,
+                )
+            ),
+        )
+
+    def provenance_keys(self, left_fp: str, right_fp: str) -> tuple[str, str]:
+        return (
+            fingerprint_of(left_fp, self.query_left, "L"),
+            fingerprint_of(right_fp, self.query_right, "R"),
+        )
+
+    def linkage_key(self, provenance_left: str, provenance_right: str) -> str:
+        # Features and scored candidates depend on the provenance pair and the
+        # attribute matches only -- *not* on min_similarity or calibration, so
+        # threshold-perturbed requests reuse them wholesale.
+        return fingerprint_of(provenance_left, provenance_right, self.matches)
+
+    def problem_key(self, left_fp: str, right_fp: str) -> str:
+        return fingerprint_of(
+            left_fp,
+            self.query_left,
+            right_fp,
+            self.query_right,
+            self.matches,
+            self.mapping,
+            self.labeled,
+            self.stage1,
+        )
 
 
 @dataclass
 class _LiveSignature:
     """The request shape behind one cached problem.
 
-    Holds exactly what :meth:`ExplainService.ingest` needs to recompute the
-    problem's artifact keys under a *different* database fingerprint: the
-    queries, both database names, and the canonicalized request parts that
-    participate in each key.  ``solve_parts`` collects every solve
-    configuration seen for the problem (keyed by its own fingerprint), since
-    each produced a distinct cached report.
+    Holds exactly what :meth:`ExplainService.ingest` and version retirement
+    need to recompute the problem's artifact keys under a *different*
+    database fingerprint: both database names, the queries (for the
+    affectedness test), the shape's key parts, and the logical fingerprints
+    of both queries' inner expressions (their plan keys).  ``solve_parts``
+    collects every solve configuration seen for the problem (keyed by its
+    own fingerprint), since each produced a distinct cached report.
     """
 
     database_left: str
     database_right: str
     query_left: Query
     query_right: Query
-    matches_part: object
-    mapping_part: object
-    labeled_part: object
-    stage1_part: object
+    parts: _KeyParts
+    plan_left: str
+    plan_right: str
     solve_parts: dict = field(default_factory=dict)
 
 
@@ -213,6 +289,11 @@ class ExplainService:
         self._reports = self.caches.cache(
             "report", max_entries=self.config.report_cache_entries
         )
+        #: Compiled ``{"sql": ...}`` query specs, so a repeated question skips
+        #: lex, parse, bind and lower (see :func:`repro.service.api.query_from_spec`).
+        self.compiled_queries = ArtifactCache(
+            "compiled_queries", max_entries=_COMPILED_QUERY_LIMIT
+        )
         self._databases: dict[str, Database] = {}
         self._db_fingerprints: dict[str, str] = {}
         self._lock = threading.RLock()
@@ -292,24 +373,6 @@ class ExplainService:
 
     # -- fingerprint keys ----------------------------------------------------------
     @staticmethod
-    def _matches_part(matches: AttributeMatching | None) -> object:
-        return tuple(matches.matches) if matches is not None else "auto"
-
-    @staticmethod
-    def _mapping_part(mapping: TupleMapping | None) -> object:
-        return tuple(mapping.matches) if mapping is not None else "auto"
-
-    @staticmethod
-    def _stage1_config_part(config: Explain3DConfig) -> object:
-        """The config fields that shape Stage 1 (problem identity)."""
-        return (
-            config.priors,
-            config.num_buckets,
-            config.min_similarity,
-            config.min_match_probability,
-        )
-
-    @staticmethod
     def _solver_part(solver) -> object:
         """Cache-key contribution of a solver backend.
 
@@ -346,23 +409,6 @@ class ExplainService:
             ExplainService._solver_part(config.solver),
         )
 
-    def _problem_key(
-        self, request: ExplainRequest, config: Explain3DConfig, left_fp: str, right_fp: str
-    ) -> str:
-        return fingerprint_of(
-            left_fp,
-            request.query_left,
-            right_fp,
-            request.query_right,
-            self._matches_part(request.attribute_matches),
-            self._mapping_part(request.tuple_mapping),
-            request.labeled_pairs if request.labeled_pairs is not None else "none",
-            self._stage1_config_part(config),
-        )
-
-    def _report_key(self, problem_key: str, config: Explain3DConfig) -> str:
-        return fingerprint_of(problem_key, self._solve_config_part(config))
-
     # -- the serving path ----------------------------------------------------------
     def explain(self, request: ExplainRequest) -> ServiceResult:
         """Serve one request, reusing every cached artifact that applies.
@@ -387,7 +433,7 @@ class ExplainService:
         # a breaker is open.
         left = self._snapshot(request.database_left)
         right = self._snapshot(request.database_right)
-        self.breakers.acquire(request.database_left, request.database_right)
+        admission = self.breakers.acquire(request.database_left, request.database_right)
         try:
             result = self._serve(request, config, deadline, left, right, started)
         except (
@@ -398,12 +444,12 @@ class ExplainService:
             # was cancelled, named nothing, or asked for an aggregate its data
             # cannot give (a 400) -- the databases are fine.  Releasing frees
             # a half-open probe slot for the next request.
-            self.breakers.release(request.database_left, request.database_right)
+            self.breakers.release(admission)
             raise
         except Exception:
-            self.breakers.record_failure(request.database_left, request.database_right)
+            self.breakers.record_failure(admission)
             raise
-        self.breakers.record_success(request.database_left, request.database_right)
+        self.breakers.record_success(admission)
         return result
 
     def _serve(
@@ -415,9 +461,11 @@ class ExplainService:
         right: tuple[Database, str],
         started: float,
     ) -> ServiceResult:
-        problem_key = self._problem_key(request, config, left[1], right[1])
-        report_key = self._report_key(problem_key, config)
-        self._record_signature(problem_key, request, config)
+        parts = _KeyParts.of(request, config)
+        solve_part = EncodedPart(self._solve_config_part(config))
+        problem_key = parts.problem_key(left[1], right[1])
+        report_key = fingerprint_of(problem_key, solve_part)
+        self._record_signature(problem_key, request, parts, solve_part)
         degraded: list[dict] = []
 
         cached_report = self._reports.get(report_key)
@@ -439,7 +487,7 @@ class ExplainService:
         problem = self._problems.get(problem_key)
         cached_problem = problem is not None
         if problem is None:
-            problem = self._build_problem(request, config, left, right, degraded)
+            problem = self._build_problem(request, config, left, right, parts, degraded)
             self._problems.put(problem_key, problem)
         build_seconds = time.perf_counter() - build_start
 
@@ -481,6 +529,7 @@ class ExplainService:
         config: Explain3DConfig,
         left: tuple[Database, str],
         right: tuple[Database, str],
+        parts: _KeyParts,
         degraded: list[dict] | None = None,
     ):
         """Cold problem construction, threading cached Stage-1 artifacts through.
@@ -492,16 +541,8 @@ class ExplainService:
         db_left, left_fp = left
         db_right, right_fp = right
 
-        provenance_key_left = fingerprint_of(left_fp, request.query_left, "L")
-        provenance_key_right = fingerprint_of(right_fp, request.query_right, "R")
-        # Features and scored candidates depend on the provenance pair and the
-        # attribute matches only -- *not* on min_similarity or calibration, so
-        # threshold-perturbed requests reuse them wholesale.
-        linkage_key = fingerprint_of(
-            provenance_key_left,
-            provenance_key_right,
-            self._matches_part(request.attribute_matches),
-        )
+        provenance_key_left, provenance_key_right = parts.provenance_keys(left_fp, right_fp)
+        linkage_key = parts.linkage_key(provenance_key_left, provenance_key_right)
 
         artifacts = Stage1Artifacts(
             provenance_left=self._provenance.get(provenance_key_left),
@@ -613,29 +654,32 @@ class ExplainService:
 
     # -- live updates (POST /ingest) ---------------------------------------------------
     def _record_signature(
-        self, problem_key: str, request: ExplainRequest, config: Explain3DConfig
+        self,
+        problem_key: str,
+        request: ExplainRequest,
+        parts: _KeyParts,
+        solve_part: EncodedPart,
     ) -> None:
         """Remember the request shape behind ``problem_key`` for rewiring."""
-        solve_part = self._solve_config_part(config)
+        solve_fp = fingerprint_of(solve_part)
         with self._lock:
             signature = self._signatures.get(problem_key)
-            if signature is None:
-                signature = _LiveSignature(
-                    database_left=request.database_left,
-                    database_right=request.database_right,
-                    query_left=request.query_left,
-                    query_right=request.query_right,
-                    matches_part=self._matches_part(request.attribute_matches),
-                    mapping_part=self._mapping_part(request.tuple_mapping),
-                    labeled_part=(
-                        request.labeled_pairs
-                        if request.labeled_pairs is not None
-                        else "none"
-                    ),
-                    stage1_part=self._stage1_config_part(config),
-                )
-                self._signatures[problem_key] = signature
-            signature.solve_parts[fingerprint_of(solve_part)] = solve_part
+        if signature is None:
+            # Built outside the lock (two canonical forms): a racing request
+            # of the same shape may store an equal signature first, and
+            # setdefault then keeps that one.
+            signature = _LiveSignature(
+                database_left=request.database_left,
+                database_right=request.database_right,
+                query_left=request.query_left,
+                query_right=request.query_right,
+                parts=parts,
+                plan_left=logical_fingerprint(request.query_left.inner),
+                plan_right=logical_fingerprint(request.query_right.inner),
+            )
+        with self._lock:
+            signature = self._signatures.setdefault(problem_key, signature)
+            signature.solve_parts[solve_fp] = solve_part
             self._signatures.move_to_end(problem_key)
             while len(self._signatures) > _SIGNATURE_LIMIT:
                 self._signatures.popitem(last=False)
@@ -644,21 +688,10 @@ class ExplainService:
         self, signature: _LiveSignature, left_fp: str, right_fp: str
     ) -> dict:
         """Every artifact key of one request shape under the given fingerprints."""
-        provenance_left = fingerprint_of(left_fp, signature.query_left, "L")
-        provenance_right = fingerprint_of(right_fp, signature.query_right, "R")
-        linkage = fingerprint_of(
-            provenance_left, provenance_right, signature.matches_part
-        )
-        problem = fingerprint_of(
-            left_fp,
-            signature.query_left,
-            right_fp,
-            signature.query_right,
-            signature.matches_part,
-            signature.mapping_part,
-            signature.labeled_part,
-            signature.stage1_part,
-        )
+        parts = signature.parts
+        provenance_left, provenance_right = parts.provenance_keys(left_fp, right_fp)
+        linkage = parts.linkage_key(provenance_left, provenance_right)
+        problem = parts.problem_key(left_fp, right_fp)
         return {
             "provenance_left": provenance_left,
             "provenance_right": provenance_right,
@@ -777,12 +810,12 @@ class ExplainService:
             for cache, old_key, new_key in self._artifact_keys(old_keys, new_keys):
                 if old_key != new_key:
                     cache.evict(old_key)
-            for side_database, query in (
-                (signature.database_left, signature.query_left),
-                (signature.database_right, signature.query_right),
+            for side_database, plan in (
+                (signature.database_left, signature.plan_left),
+                (signature.database_right, signature.plan_right),
             ):
                 if side_database == database:
-                    self._plans.evict(self._plan_key(replaced, old_fp, query.inner))
+                    self._plans.evict(self._plan_key(replaced, old_fp, plan))
             rekeyed.append((problem_key, new_keys["problem"]))
         self._rekey_signatures(rekeyed)
 
@@ -826,18 +859,28 @@ class ExplainService:
             if cache.invalidate(old_key):
                 moves["evicted"] += 1
 
-        rekeyed: list[tuple[str, str]] = []
-        for problem_key, signature, old_keys, new_keys in self._shapes_over(
-            database, new_db_fp, current, signatures
-        ):
-            affected = False
-            if signature.database_left == database:
-                provenance = self._provenance.get(old_keys["provenance_left"])
-                affected |= delta_affects(signature.query_left, delta, provenance)
-            if not affected and signature.database_right == database:
-                provenance = self._provenance.get(old_keys["provenance_right"])
-                affected |= delta_affects(signature.query_right, delta, provenance)
+        def affects(signature: _LiveSignature, old_keys: dict) -> bool:
+            for side_database, query, slot in (
+                (signature.database_left, signature.query_left, "provenance_left"),
+                (signature.database_right, signature.query_right, "provenance_right"),
+            ):
+                if side_database == database and delta_affects(
+                    query, delta, self._provenance.get(old_keys[slot])
+                ):
+                    return True
+            return False
 
+        # Judge every shape before moving anything: shapes that share an
+        # artifact (threshold perturbations share provenance) must all find
+        # it under its old key, or all but the first would be evicted.
+        shapes = [
+            (problem_key, old_keys, new_keys, affects(signature, old_keys))
+            for problem_key, signature, old_keys, new_keys in self._shapes_over(
+                database, new_db_fp, current, signatures
+            )
+        ]
+        rekeyed: list[tuple[str, str]] = []
+        for problem_key, old_keys, new_keys, affected in shapes:
             for cache, old_key, new_key in self._artifact_keys(old_keys, new_keys):
                 if not affected:
                     rewire(cache, old_key, new_key)
@@ -984,16 +1027,17 @@ class ExplainService:
         return provenance_relation(query, db, label=f"P[{query.name}]", plan=plan)
 
     @staticmethod
-    def _plan_key(db: Database, db_fp: str, node) -> str:
+    def _plan_key(db: Database, db_fp: str, logical: str) -> str:
         # ANALYZE statistics participate in the key: analyzing a database
         # changes the plans it should get (never their results), so cached
         # heuristic plans must not shadow the cost-based ones and vice versa.
         statistics = getattr(db, "statistics", None)
         stats_part = statistics.fingerprint() if statistics is not None else "none"
-        return fingerprint_of(db_fp, stats_part, logical_fingerprint(node))
+        return fingerprint_of(db_fp, stats_part, logical)
 
     def _cached_plan(self, db: Database, db_fp: str, node, factory) -> PhysicalPlan:
-        return self._plans.get_or_compute(self._plan_key(db, db_fp, node), factory)
+        key = self._plan_key(db, db_fp, logical_fingerprint(node))
+        return self._plans.get_or_compute(key, factory)
 
     def explain_plan(self, database: str, query: Query, *, run: bool = True) -> dict:
         """EXPLAIN a query against a registered database (JSON plan tree).

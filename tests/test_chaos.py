@@ -17,6 +17,8 @@ report cache.
 
 from __future__ import annotations
 
+import random
+import sys
 import threading
 import time
 
@@ -217,8 +219,7 @@ class TestCircuitBreaker:
     def test_opens_after_threshold_and_fails_fast(self):
         breaker = CircuitBreaker("db", failure_threshold=3, reset_seconds=30.0)
         for _ in range(3):
-            breaker.acquire()
-            breaker.record_failure()
+            breaker.record_failure(breaker.acquire())
         assert breaker.state == "open"
         with pytest.raises(CircuitOpenError) as excinfo:
             breaker.acquire()
@@ -227,38 +228,37 @@ class TestCircuitBreaker:
 
     def test_success_resets_the_failure_streak(self):
         breaker = CircuitBreaker("db", failure_threshold=2, reset_seconds=30.0)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
+        breaker.record_failure(breaker.acquire())
+        breaker.record_success(breaker.acquire())
+        breaker.record_failure(breaker.acquire())
         assert breaker.state == "closed"
 
     def test_half_open_admits_one_probe(self):
         breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.02)
-        breaker.record_failure()
+        breaker.record_failure(breaker.acquire())
         assert breaker.state == "open"
         time.sleep(0.03)
         assert breaker.state == "half-open"
-        breaker.acquire()  # the single probe
+        probe = breaker.acquire()  # the single probe
+        assert probe is not None
         with pytest.raises(CircuitOpenError):
             breaker.acquire()  # concurrent request still rejected
-        breaker.record_success()
+        breaker.record_success(probe)
         assert breaker.state == "closed"
-        breaker.acquire()
+        assert breaker.acquire() is None
 
     def test_failed_probe_reopens(self):
         breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.02)
-        breaker.record_failure()
+        breaker.record_failure(breaker.acquire())
         time.sleep(0.03)
-        breaker.acquire()
-        breaker.record_failure()
+        breaker.record_failure(breaker.acquire())
         assert breaker.state == "open"
 
     def test_released_probe_frees_the_slot_and_keeps_counts(self):
         breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.02)
-        breaker.record_failure()
+        breaker.record_failure(breaker.acquire())
         time.sleep(0.03)
-        breaker.acquire()  # the probe ends with no health signal
-        breaker.release()
+        breaker.release(breaker.acquire())  # the probe ends with no health signal
         breaker.acquire()  # so the next request may probe
         assert breaker.as_dict() == {
             "state": "half-open",
@@ -267,21 +267,91 @@ class TestCircuitBreaker:
             "total_rejections": 0,
         }
 
+    @staticmethod
+    def _probe_running_beside_an_earlier_request():
+        """Request A admitted while closed; the breaker opens; B is the probe."""
+        breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.02)
+        early = breaker.acquire()
+        breaker.record_failure(breaker.acquire())
+        time.sleep(0.03)
+        probe = breaker.acquire()
+        assert early is None and probe is not None
+        return breaker, early, probe
+
+    def test_earlier_request_cannot_free_the_probe_slot(self):
+        breaker, early, probe = self._probe_running_beside_an_earlier_request()
+        breaker.release(early)
+        with pytest.raises(CircuitOpenError):
+            breaker.acquire()  # no second concurrent probe
+        breaker.release(probe)
+        assert breaker.acquire() is not None
+
+    def test_earlier_request_cannot_settle_the_probe(self):
+        breaker, early, probe = self._probe_running_beside_an_earlier_request()
+        breaker.record_success(early)
+        assert breaker.state == "half-open"
+        breaker.record_failure(early)
+        assert breaker.state == "half-open"
+        with pytest.raises(CircuitOpenError):
+            breaker.acquire()
+        assert breaker.as_dict()["total_failures"] == 2
+        breaker.record_failure(probe)
+        assert breaker.state == "open"
+
+    def test_concurrent_requests_never_hold_two_probes(self):
+        breaker = CircuitBreaker("db", failure_threshold=1, reset_seconds=0.001)
+        lock = threading.Lock()
+        probes = {"outstanding": 0, "most": 0, "taken": 0}
+
+        def client(seed: int) -> None:
+            rng = random.Random(seed)
+            settle = (breaker.release, breaker.record_success, breaker.record_failure)
+            stop = time.monotonic() + 0.3
+            while time.monotonic() < stop:
+                try:
+                    token = breaker.acquire()
+                except CircuitOpenError:
+                    continue
+                if token is not None:
+                    with lock:
+                        probes["outstanding"] += 1
+                        probes["taken"] += 1
+                        probes["most"] = max(probes["most"], probes["outstanding"])
+                time.sleep(0)  # the request runs; other clients acquire and settle
+                if token is not None:
+                    with lock:
+                        probes["outstanding"] -= 1
+                rng.choice(settle)(token)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=client, args=(seed,)) for seed in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert probes["taken"] > 0 and probes["most"] == 1
+
     def test_registry_releases_admitted_keys_when_a_later_key_rejects(self):
         registry = BreakerRegistry(failure_threshold=1, reset_seconds=0.5)
-        registry.record_failure("a")
+        registry.record_failure(registry.acquire("a"))
         time.sleep(0.55)
-        registry.record_failure("b")  # "a" half-open, "b" freshly open
+        registry.record_failure(registry.acquire("b"))  # "a" half-open, "b" freshly open
         with pytest.raises(CircuitOpenError):
             registry.acquire("a", "b")
         registry.acquire("a")  # the probe slot of "a" was not stranded
 
     def test_registry_acquires_a_key_named_twice_once(self):
         registry = BreakerRegistry(failure_threshold=1, reset_seconds=0.02)
-        registry.record_failure("a")
+        registry.record_failure(registry.acquire("a"))
         time.sleep(0.03)
-        registry.acquire("a", "a")  # one breaker, one probe
-        registry.record_failure("a", "a")
+        admission = registry.acquire("a", "a")  # one breaker, one probe
+        assert list(admission) == ["a"]
+        registry.record_failure(admission)
         assert registry.states()["a"]["total_failures"] == 2
 
 
