@@ -7,8 +7,9 @@ Times the dominant wall-clock costs of the reproduction:
   scalar scoring that re-tokenizes every attribute value for every compared
   pair.  Both paths run blocking and build the same ``CandidateMatch`` list,
   so the ratio isolates the re-tokenization + vectorization win.
-* **Stage 2 partitioned solving** -- ``workers=1`` sequential solving against
-  the pool-dispatched parallel path on a multi-partition workload.
+* **Stage 2 partitioned solving** -- ``workers=1`` inline solving against the
+  thread-pooled path on a multi-partition workload, timed warm and ungated
+  (see :func:`bench_stage2`).
 * **Stage 2 MILP assembly** -- ``MILPTransformation.build`` (index arrays)
   against its oracle twin ``build_reference`` (one ``LinearExpression`` row at
   a time), each followed by the ``to_arrays`` export HiGHS reads, on the
@@ -66,6 +67,8 @@ from repro.runs import build_run_problem
 
 RESULT_PATH = ROOT / "BENCH_pipeline.json"
 REPEATS = 9
+STAGE2_WARMUP_SECONDS = 2.0
+STAGE2_PAIRS = 6
 STAGE2_BUILD_GATE = 5.0
 STAGE3_GATE = 20.0
 
@@ -132,40 +135,65 @@ def bench_stage1(name, left_tuples, right_tuples, attribute_matches, *, min_simi
 
 
 def bench_stage2(name, problem, *, partitioning="smart", batch_size=60):
-    """Time workers=1 vs pooled solving; assert identical merged results."""
+    """Time workers=1 vs pooled solving, warm; assert identical merged results.
+
+    HiGHS releases the GIL while it solves, so two threads overlap two
+    partitions.  On a VM whose vCPUs idle, though, two threads of GIL-free
+    work (HiGHS solves, ``np.sort``) run at a CPU/wall ratio of ~1.0 for
+    about the first second of load and ~1.9 after it.  So the pooled side
+    first solves for ``STAGE2_WARMUP_SECONDS``, then the two sides alternate
+    which runs first in each of ``STAGE2_PAIRS`` timed pairs, and the best
+    time of each side is kept.  Ungated: a 1-vCPU or cold runner reads ~1.0x.
+    """
     workers = max(os.cpu_count() or 1, 2)
-    sequential_solver = PartitionedSolver(
-        problem, SolveConfig(partitioning=partitioning, batch_size=batch_size, workers=1)
-    )
-    sequential_seconds, sequential = _best_of(sequential_solver.solve, repeats=3)
-
-    parallel_solver = PartitionedSolver(
-        problem,
-        SolveConfig(
-            partitioning=partitioning, batch_size=batch_size, workers=workers, executor="thread"
+    solvers = {
+        "sequential": PartitionedSolver(
+            problem, SolveConfig(partitioning=partitioning, batch_size=batch_size, workers=1)
         ),
-    )
-    parallel_seconds, parallel = _best_of(parallel_solver.solve, repeats=3)
+        "parallel": PartitionedSolver(
+            problem,
+            SolveConfig(partitioning=partitioning, batch_size=batch_size, workers=workers),
+        ),
+    }
+    warm_until = time.perf_counter() + STAGE2_WARMUP_SECONDS
+    while time.perf_counter() < warm_until:
+        solvers["parallel"].solve()
 
-    if parallel.objective != sequential.objective:
-        raise AssertionError(f"{name}: parallel merged objective diverges from sequential")
+    best = {side: float("inf") for side in solvers}
+    merged = {}
+    for pair in range(STAGE2_PAIRS):
+        order = ("sequential", "parallel") if pair % 2 == 0 else ("parallel", "sequential")
+        for side in order:
+            start = time.perf_counter()
+            merged[side] = solvers[side].solve()
+            best[side] = min(best[side], time.perf_counter() - start)
 
+    sequential, parallel = merged["sequential"], merged["parallel"]
+    if (
+        parallel.objective != sequential.objective
+        or parallel.explanation_identities() != sequential.explanation_identities()
+    ):
+        raise AssertionError(f"{name}: pooled merged result diverges from sequential")
+
+    sequential_seconds, parallel_seconds = best["sequential"], best["parallel"]
     entry = {
         "workload": name,
         "partitioning": partitioning,
         "batch_size": batch_size,
-        "partitions": sequential_solver.stats.num_partitions,
+        "partitions": solvers["sequential"].stats.num_partitions,
         "matches": len(problem.mapping),
+        "warmup_seconds": STAGE2_WARMUP_SECONDS,
+        "timed_pairs": STAGE2_PAIRS,
         "sequential_seconds": round(sequential_seconds, 6),
         "parallel_seconds": round(parallel_seconds, 6),
-        "parallel_workers": parallel_solver.stats.workers_used,
+        "parallel_workers": solvers["parallel"].stats.workers_used,
         "speedup": round(sequential_seconds / parallel_seconds, 2) if parallel_seconds else None,
         "objectives_equal": True,
     }
     print(
         f"[stage2] {name}: {entry['partitions']} partitions, sequential "
         f"{sequential_seconds:.4f}s -> parallel({entry['parallel_workers']}) "
-        f"{parallel_seconds:.4f}s ({entry['speedup']}x)"
+        f"{parallel_seconds:.4f}s ({entry['speedup']}x, warm)"
     )
     return entry
 

@@ -21,6 +21,21 @@ from repro.relational.provenance import ProvenanceRelation, ProvenanceTuple
 from repro.relational.query import AggregateFunction
 
 
+class UnknownAttributeError(ValueError):
+    """An attribute match names an attribute of no provenance tuple.
+
+    The caller's mistake, not a server fault: the service answers it with a
+    400 whose ``path`` points at the offending ``attribute_matches`` entry
+    (see :func:`repro.core.problem.build_problem`).
+    """
+
+    def __init__(self, message: str, side: Side, missing: Sequence[str], path: str = ""):
+        super().__init__(message)
+        self.side = side
+        self.missing = tuple(missing)
+        self.path = path
+
+
 @dataclass(frozen=True)
 class CanonicalTuple:
     """A canonical tuple: group-by values on the matched attributes plus total impact.
@@ -128,9 +143,11 @@ def canonicalize(
         )
     missing = [name for name in group_attributes if name not in provenance.attributes]
     if missing:
-        raise ValueError(
+        raise UnknownAttributeError(
             f"matching attributes {missing} are not attributes of provenance relation "
-            f"{provenance.label} (has {list(provenance.attributes)})"
+            f"{provenance.label} (has {list(provenance.attributes)})",
+            side,
+            missing,
         )
 
     function = provenance.query.aggregate_function

@@ -19,12 +19,13 @@ Stage 3 (pattern summarization).
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from repro.core.explanations import ExplanationSet
-from repro.core.partitioning import PartitionedSolver, SolveConfig, SolveStats
+from repro.core.partitioning import PartitionedSolver, SolveConfig, SolveStats, _int_at_least
 from repro.core.problem import ExplainProblem, build_problem
 from repro.core.scoring import Priors
 from repro.core.summarize import ExplanationSummary, PatternSummarizer
@@ -38,7 +39,7 @@ from repro.solver.backends import MILPSolver
 
 @dataclass
 class Explain3DConfig:
-    """End-to-end configuration of the Explain3D pipeline."""
+    """End-to-end configuration of the Explain3D pipeline; a bad value fails at construction."""
 
     priors: Priors = field(default_factory=Priors)
     partitioning: str = "smart"
@@ -51,8 +52,21 @@ class Explain3DConfig:
     summarize: bool = True
     min_summary_precision: float = 0.75
     solver: Optional[MILPSolver] = None
-    workers: Optional[int] = None   # None resolves to os.cpu_count(); 1 is sequential
-    executor: str = "thread"
+    workers: Optional[int] = None   # None resolves to os.cpu_count(); 1 solves inline
+
+    def __post_init__(self) -> None:
+        # Building the solve config checks the Stage 2 fields.
+        self.solve_config()
+        if not _int_at_least(self.num_buckets, 1):
+            raise ValueError(f"num_buckets must be an int >= 1, got {self.num_buckets!r}")
+        if not _is_number(self.min_similarity) or not math.isfinite(self.min_similarity):
+            raise ValueError(f"min_similarity must be a finite number, got {self.min_similarity!r}")
+        for name in ("min_match_probability", "min_summary_precision"):
+            value = getattr(self, name)
+            if not _is_number(value) or not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be a number in [0, 1], got {value!r}")
+        if not isinstance(self.summarize, bool):
+            raise ValueError(f"summarize must be a bool, got {self.summarize!r}")
 
     def solve_config(self) -> SolveConfig:
         return SolveConfig(
@@ -62,8 +76,11 @@ class Explain3DConfig:
             use_prepartitioning=self.use_prepartitioning,
             solver=self.solver,
             workers=self.workers,
-            executor=self.executor,  # type: ignore[arg-type]
         )
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass

@@ -76,10 +76,6 @@ class NonFiniteImpactError(ValueError):
             f"{impact!r}; Stage 2 needs finite impacts"
         )
 
-    def __reduce__(self):
-        # Rebuild from the fields, not the message, across a process pool.
-        return type(self), (self.side, self.key, self.impact)
-
 
 @dataclass
 class _AnchorVariables:

@@ -10,15 +10,13 @@ Three solving modes are supported:
   per partition (the paper's BATCH-``b``).
 
 Each partition's restriction + MILP build + solve is an independent unit: with
-``workers > 1`` the units are dispatched to a thread or process pool
-(partitions are disjoint sub-problems, so the merge is order-preserving and
-the result is identical to the sequential ``workers=1`` path).  Only the
-process pool can overlap solves: ``scipy.optimize.milp`` holds the GIL for
-the whole HiGHS run, so thread workers solve one partition at a time on any
-core count, for either backend.  Restricting
-the canonical relations and the mapping to the partitions is done in a single
-pass that buckets tuples and matches by partition, instead of one full scan
-per partition.
+``workers > 1`` the units run on a thread pool (partitions are disjoint
+sub-problems, so the merge is order-preserving and the result is identical to
+the inline ``workers=1`` path).  Threads do overlap solves: scipy's HiGHS
+binding releases the GIL for the whole ``Highs::run``, so on two cores two
+partitions solve at once.  Restricting the canonical relations and the
+mapping to the partitions is done in a single pass that buckets tuples and
+matches by partition, instead of one full scan per partition.
 """
 
 from __future__ import annotations
@@ -26,10 +24,9 @@ from __future__ import annotations
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Literal, Optional
+from typing import Literal, Optional, get_args
 
 from repro.core.canonical import CanonicalRelation
 from repro.core.explanations import ExplanationSet, ProvenanceExplanation
@@ -40,17 +37,21 @@ from repro.graphs.smart_partition import SmartPartitioner, TuplePartition
 from repro.graphs.weighting import WeightingParams
 from repro.matching.attribute_match import SemanticRelation
 from repro.matching.tuple_matching import TupleMapping, TupleMatch
-from repro.reliability.deadline import Deadline, DeadlineExceeded, OperationCancelled
+from repro.reliability.deadline import Deadline, DeadlineExceeded
 from repro.reliability.faults import FAULTS
 from repro.solver.backends import MILPSolver, default_solver
 
 PartitioningMode = Literal["none", "components", "smart"]
-ExecutorKind = Literal["thread", "process"]
+
+
+def _int_at_least(value, minimum: int) -> bool:
+    """True for a plain int (not a bool) of at least ``minimum``."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= minimum
 
 
 @dataclass
 class SolveConfig:
-    """Configuration of Stage 2 solving."""
+    """Configuration of Stage 2 solving; a bad value fails at construction."""
 
     partitioning: PartitioningMode = "smart"
     batch_size: int = 1000
@@ -58,15 +59,22 @@ class SolveConfig:
     use_prepartitioning: bool = True
     solver: MILPSolver | None = None
     workers: int | None = None      # None resolves to os.cpu_count()
-    executor: ExecutorKind = "thread"
+
+    def __post_init__(self) -> None:
+        if self.partitioning not in get_args(PartitioningMode):
+            raise ValueError(f"unknown partitioning mode {self.partitioning!r}")
+        if not _int_at_least(self.batch_size, 2):
+            raise ValueError(f"batch_size must be an int >= 2, got {self.batch_size!r}")
+        if not isinstance(self.use_prepartitioning, bool):
+            raise ValueError(
+                f"use_prepartitioning must be a bool, got {self.use_prepartitioning!r}"
+            )
+        if self.workers is not None and not _int_at_least(self.workers, 1):
+            raise ValueError(f"workers must be None or a positive int, got {self.workers!r}")
 
     def resolved_workers(self) -> int:
         """The worker count to use: ``workers`` or, when unset, ``os.cpu_count()``."""
-        if self.workers is not None:
-            if self.workers < 1:
-                raise ValueError(f"workers must be positive, got {self.workers}")
-            return self.workers
-        return os.cpu_count() or 1
+        return self.workers or os.cpu_count() or 1
 
 
 @dataclass
@@ -130,8 +138,6 @@ def _restrict_by_partition(
 
     template_left = problem.canonical_left
     template_right = problem.canonical_right
-    # The restricted relations exist only for MILP building; dropping the
-    # provenance back-reference keeps process-pool payloads small.
     lefts = [
         CanonicalRelation(
             template_left.side, template_left.attributes, bucket, label=template_left.label
@@ -151,11 +157,7 @@ def _restrict_by_partition(
 def _solve_partition_task(
     task: tuple[int, CanonicalRelation, CanonicalRelation, TupleMapping, SemanticRelation, Priors, MILPSolver]
 ) -> tuple[ExplanationSet, dict]:
-    """One independent unit of work: build and solve a partition's MILP.
-
-    Module-level (and fed picklable arguments) so it can run on a process
-    pool as well as on threads or inline.
-    """
+    """One independent unit of work: build and solve a partition's MILP."""
     FAULTS.check("solve.partition")
     index, left, right, mapping, relation, priors, solver = task
     transformation = MILPTransformation(
@@ -198,12 +200,6 @@ def _trivial_partition_solution(
     return piece, bound - objective
 
 
-def _worker_solver(solver: MILPSolver) -> MILPSolver:
-    """A per-task solver instance when the backend supports cloning."""
-    clone = getattr(solver, "clone", None)
-    return clone() if callable(clone) else solver
-
-
 def _supports_cloning(solver: MILPSolver) -> bool:
     return callable(getattr(solver, "clone", None))
 
@@ -235,8 +231,6 @@ class PartitionedSolver:
     def _partitions(self) -> list[TuplePartition]:
         graph = self.problem.match_graph()
         mode = self.config.partitioning
-        if mode not in ("none", "components", "smart"):
-            raise ValueError(f"unknown partitioning mode {mode!r}")
         if mode == "none" or graph.num_nodes <= self.config.batch_size:
             partition = TuplePartition(
                 0,
@@ -261,9 +255,7 @@ class PartitionedSolver:
 
     # -- solving ------------------------------------------------------------------------
     def solve(self) -> ExplanationSet:
-        """Solve all sub-problems (possibly in parallel) and merge the results."""
-        if self.config.executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor kind {self.config.executor!r}")
+        """Solve all sub-problems (on threads when ``workers > 1``) and merge the results."""
         start = time.perf_counter()
         partitions = self._partitions()
         self.stats.num_partitions = len(partitions)
@@ -274,13 +266,13 @@ class PartitionedSolver:
         lefts, rights, mappings, cut = _restrict_by_partition(self.problem, partitions)
 
         workers = self.config.resolved_workers()
-        if workers > 1 and not _supports_cloning(self.solver):
+        if not _supports_cloning(self.solver):
             # A backend without clone() may mutate internal state during a
             # solve (the MILPSolver protocol only requires solve()), so one
             # shared instance must never serve concurrent partitions.
             workers = 1
         self.stats.workers_used = max(1, min(workers, len(partitions)))
-        parallel = self.stats.workers_used > 1 and len(partitions) > 1
+        pooled = self.stats.workers_used > 1
         tasks = [
             (
                 partition.index,
@@ -289,18 +281,13 @@ class PartitionedSolver:
                 mappings[position],
                 self.problem.relation,
                 self.problem.priors,
-                # Sequential solving keeps the caller's instance (its post-solve
+                # Inline solving keeps the caller's instance (its post-solve
                 # state, e.g. BnB stats, stays observable as before).
-                _worker_solver(self.solver) if parallel else self.solver,
+                self.solver.clone() if pooled else self.solver,
             )
             for position, partition in enumerate(partitions)
         ]
-        if not parallel:
-            # Deterministic sequential fallback (also the workers=1 reference path).
-            results = self._run_sequential(tasks)
-        else:
-            pool_type = ThreadPoolExecutor if self.config.executor == "thread" else ProcessPoolExecutor
-            results = self._run_parallel(tasks, pool_type)
+        results = self._run(tasks)
 
         # Positions left as None missed the deadline: substitute the trivial
         # feasible solution and account its contribution to the optimality
@@ -334,61 +321,32 @@ class PartitionedSolver:
         self.stats.total_time = time.perf_counter() - start
         return merged
 
-    # -- task execution (sequential / parallel, deadline-checkpointed) ------------------
-    def _run_sequential(self, tasks: list) -> list[Optional[tuple]]:
-        """Solve tasks in order; a deadline checkpoint precedes each one.
+    # -- task execution (inline or pooled, deadline-checkpointed) ---------------------
+    def _run(self, tasks: list) -> list[Optional[tuple]]:
+        """Solve every task: inline for one worker, else on a thread pool.
 
-        Returns one slot per task; ``None`` marks a partition the deadline
-        cut off (only reachable with ``allow_partial`` -- otherwise the
-        checkpoint's :class:`DeadlineExceeded` propagates).  Cancellation
-        always propagates: a cancelled request has no use for an incumbent.
+        Either way a deadline checkpoint precedes each task, so a partition
+        that starts in time runs to completion and is kept, and one that had
+        not started when the deadline passed is skipped.  Returns one slot per
+        task; ``None`` marks a skipped partition (only reachable with
+        ``allow_partial`` -- otherwise the checkpoint's
+        :class:`DeadlineExceeded` propagates).  Cancellation always
+        propagates: a cancelled request has no use for an incumbent.
         """
-        results: list[Optional[tuple]] = [None] * len(tasks)
-        for position, task in enumerate(tasks):
+
+        def run(task) -> Optional[tuple]:
             try:
                 self.deadline.check("solve.partition")
             except DeadlineExceeded:
                 if not self.allow_partial:
                     raise
-                break
-            results[position] = _solve_partition_task(task)
-        return results
+                return None
+            return _solve_partition_task(task)
 
-    def _run_parallel(self, tasks: list, pool_type) -> list[Optional[tuple]]:
-        """Dispatch all tasks, then await them in order within the deadline.
-
-        On expiry, not-yet-started futures are cancelled; futures already
-        running finish (threads cannot be killed), which bounds the overrun
-        to one checkpoint interval -- the same guarantee as the sequential
-        path.  Completed futures are harvested as the incumbent when
-        ``allow_partial`` is set.
-        """
-        results: list[Optional[tuple]] = [None] * len(tasks)
-        with pool_type(max_workers=self.stats.workers_used) as pool:
-            futures = [pool.submit(_solve_partition_task, task) for task in tasks]
-            try:
-                for position, future in enumerate(futures):
-                    if self.deadline.cancelled():
-                        raise OperationCancelled("solve.partition")
-                    try:
-                        results[position] = future.result(timeout=self.deadline.remaining())
-                    except FutureTimeoutError:
-                        raise DeadlineExceeded(
-                            "solve.partition", self.deadline.elapsed(),
-                            float(self.deadline.seconds),
-                        ) from None
-            except (DeadlineExceeded, OperationCancelled):
-                for future in futures:
-                    future.cancel()
-                if not self.allow_partial or self.deadline.cancelled():
-                    raise
-                for position, future in enumerate(futures):
-                    if results[position] is None and future.done() and not future.cancelled():
-                        try:
-                            results[position] = future.result(timeout=0)
-                        except Exception:  # noqa: BLE001 - failed piece stays unsolved
-                            pass
-        return results
+        if self.stats.workers_used == 1:
+            return [run(task) for task in tasks]
+        with ThreadPoolExecutor(max_workers=self.stats.workers_used) as pool:
+            return list(pool.map(run, tasks))
 
     # -- convenience --------------------------------------------------------------------
     def expected_partitions(self) -> int:

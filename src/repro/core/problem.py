@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.core.canonical import CanonicalRelation, canonicalize
+from repro.core.canonical import CanonicalRelation, UnknownAttributeError, canonicalize
 from repro.core.scoring import Priors
 from repro.graphs.bipartite import MatchGraph, Side
 from repro.matching.attribute_match import AttributeMatching
@@ -248,14 +248,24 @@ def build_problem(
 
     if attribute_matches is None:
         attribute_matches = infer_attribute_matches(provenance_left, provenance_right)
+    requested = attribute_matches
     attribute_matches = attribute_matches.normalized()
     if not attribute_matches.comparable:
         raise NotComparableError(
             f"queries {query_left.name} and {query_right.name} share no attribute match"
         )
 
-    canonical_left = canonicalize(provenance_left, attribute_matches, Side.LEFT, label="T1")
-    canonical_right = canonicalize(provenance_right, attribute_matches, Side.RIGHT, label="T2")
+    try:
+        canonical_left = canonicalize(provenance_left, attribute_matches, Side.LEFT, label="T1")
+        canonical_right = canonicalize(provenance_right, attribute_matches, Side.RIGHT, label="T2")
+    except UnknownAttributeError as exc:
+        # Tag the first requested match naming a missing attribute with its
+        # JSON pointer, so the service answers a 400 that points at it.
+        for index, match in enumerate(requested):
+            if set(exc.missing) & set(match.left if exc.side is Side.LEFT else match.right):
+                exc.path = exc.path or f"/attribute_matches/{index}"
+                break
+        raise
 
     if tuple_mapping is None:
         if artifacts is None:

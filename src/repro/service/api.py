@@ -184,7 +184,16 @@ def predicate_from_spec(conditions: list[dict], path: str = "") -> Predicate | N
     return result
 
 
-def source_from_spec(spec, path: str = "") -> QueryNode:
+def _scan(name, database, path: str) -> Scan:
+    """A base-relation scan; with a ``database``, an unknown name fails at ``path``."""
+    if database is not None and not (isinstance(name, str) and name in database):
+        raise SpecError(
+            f"unknown relation {name!r}; database has {sorted(database.relations())}", path
+        )
+    return Scan(name)
+
+
+def source_from_spec(spec, path: str = "", database=None) -> QueryNode:
     """A query-tree source from a spec: a relation name, or a nested object.
 
     Accepted shapes (exactly one of the object keys)::
@@ -198,10 +207,11 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
                         "on": ["name"]}}         -- anti-join on key columns
 
     Any object form may carry ``"where": [...]`` to wrap the source in a
-    selection.  Sources nest arbitrarily.
+    selection.  Sources nest arbitrarily.  With a ``database``, every relation
+    name must be one of its relations.
     """
     if isinstance(spec, str):
-        return Scan(spec)
+        return _scan(spec, database, path)
     if not isinstance(spec, dict):
         raise SpecError(
             f"source spec must be a relation name or an object, "
@@ -218,7 +228,7 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
     kind = kinds[0]
     node: QueryNode
     if kind == "relation":
-        node = Scan(str(spec["relation"]))
+        node = _scan(str(spec["relation"]), database, f"{path}/relation")
     elif kind == "join":
         body = spec["join"]
         if not isinstance(body, dict) or "left" not in body or "right" not in body:
@@ -232,8 +242,8 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
                 )
             pairs.append((str(pair[0]), str(pair[1])))
         node = Join(
-            source_from_spec(body["left"], f"{path}/join/left"),
-            source_from_spec(body["right"], f"{path}/join/right"),
+            source_from_spec(body["left"], f"{path}/join/left", database),
+            source_from_spec(body["right"], f"{path}/join/right", database),
             on=tuple(pairs),
         )
     elif kind == "union":
@@ -244,7 +254,7 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
             )
         node = Union(
             tuple(
-                source_from_spec(member, f"{path}/union/{index}")
+                source_from_spec(member, f"{path}/union/{index}", database)
                 for index, member in enumerate(body)
             )
         )
@@ -261,8 +271,8 @@ def source_from_spec(spec, path: str = "") -> QueryNode:
                 f"{path}/difference/on",
             )
         node = Difference(
-            source_from_spec(body["left"], f"{path}/difference/left"),
-            source_from_spec(body["right"], f"{path}/difference/right"),
+            source_from_spec(body["left"], f"{path}/difference/left", database),
+            source_from_spec(body["right"], f"{path}/difference/right", database),
             on=tuple(str(name) for name in on),
         )
     inner_where = predicate_from_spec(spec.get("where", []), f"{path}/where")
@@ -310,6 +320,10 @@ def query_from_spec(
     * ``{"kind": ..., "relation": ...}`` -- the flat single-relation form;
     * ``{"kind": ..., "source": {...}}`` -- the same kinds over a nested
       join/union/difference source tree (:func:`source_from_spec`).
+
+    With a ``database``, a relation name it does not hold is a
+    :class:`SpecError` pointing at the field naming it, as the SQL binder
+    reports an unknown table.
     """
     if not isinstance(spec, dict):
         raise SpecError(
@@ -347,9 +361,9 @@ def query_from_spec(
             path,
         )
     if "relation" in spec:
-        source: QueryNode = Scan(spec["relation"])
+        source: QueryNode = _scan(spec["relation"], database, f"{path}/relation")
     elif "source" in spec:
-        source = source_from_spec(spec["source"], f"{path}/source")
+        source = source_from_spec(spec["source"], f"{path}/source", database)
     else:
         raise SpecError("query spec needs 'relation', 'source' or 'sql'", path)
     kind = str(spec.get("kind", "count")).lower()

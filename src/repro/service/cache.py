@@ -211,6 +211,19 @@ class ArtifactCache:
             self.stats.misses += 1
             return default
 
+    def peek(self, key: str, default=None):
+        """The cached artifact for ``key``, or ``default``, as bookkeeping reads it.
+
+        Unlike :meth:`get` it counts no hit or miss and leaves the LRU order
+        alone, so internal reads (ingest rewiring) never show up as traffic.
+        A spilled entry is still read from disk, but not loaded into memory.
+        """
+        with self._lock:
+            if key in self._entries:
+                return self._entries[key]
+            spilled = self._load_spill(key)
+            return default if spilled is _MISSING else spilled
+
     def put(self, key: str, value) -> None:
         with self._lock:
             self._insert(key, value)

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
+from repro.core.canonical import UnknownAttributeError
 from repro.core.explain3d import Explain3D, Explain3DConfig, ExplanationReport
 from repro.core.milp_model import NonFiniteImpactError
 from repro.core.problem import Stage1Artifacts, build_problem
@@ -56,12 +57,9 @@ from repro.service.cache import ArtifactCache, CacheRegistry, EncodedPart, finge
 
 logger = logging.getLogger(__name__)
 
-#: How many request shapes (per problem key) the engine remembers for
-#: delta-aware cache rewiring, and how many applied delta ids it retains for
-#: ingest idempotency.  Both are bookkeeping, not correctness: a forgotten
-#: signature degrades to plain eviction-by-re-keying, a forgotten delta id to
-#: a 409 conflict on the (stale) retry.
-_SIGNATURE_LIMIT = 512
+#: How many applied delta ids the engine retains for ingest idempotency.
+#: Bookkeeping, not correctness: a forgotten delta id becomes a 409 conflict
+#: on the (stale) retry.
 _DELTA_LOG_LIMIT = 512
 #: How many compiled ``{"sql": ...}`` queries the service keeps (see
 #: :attr:`ExplainService.compiled_queries`).
@@ -302,6 +300,10 @@ class ExplainService:
         # applied delta ids for ingest idempotency, and a lock serializing
         # ingests (explains stay concurrent -- they read one atomic snapshot).
         self._signatures: OrderedDict[str, _LiveSignature] = OrderedDict()
+        # A shape is worth re-keying only while a problem or report of it can
+        # still be cached, so the registry is as large as the larger of those
+        # caches.  A forgotten shape degrades to plain eviction-by-re-keying.
+        self._signature_limit = max(self._problems.max_entries, self._reports.max_entries)
         self._applied_deltas: OrderedDict[str, dict] = OrderedDict()
         self._ingest_lock = threading.Lock()
         self._ingests_applied = 0
@@ -394,10 +396,10 @@ class ExplainService:
     def _solve_config_part(config: Explain3DConfig) -> object:
         """The config fields that shape the solved report.
 
-        ``workers`` and ``executor`` are deliberately excluded: the parallel
-        and sequential solve paths produce identical results (asserted by the
-        perf-equivalence suite), so perturbing them should hit the report
-        cache rather than resolve.
+        ``workers`` is deliberately excluded: the pooled and inline solve
+        paths produce identical results (asserted by the perf-equivalence
+        suite), so perturbing it should hit the report cache rather than
+        resolve.
         """
         return (
             config.partitioning,
@@ -438,12 +440,12 @@ class ExplainService:
             result = self._serve(request, config, deadline, left, right, started)
         except (
             DeadlineExceeded, OperationCancelled, UnknownDatabaseError,
-            EmptyAggregateError, NonFiniteImpactError,
+            EmptyAggregateError, NonFiniteImpactError, UnknownAttributeError,
         ):
             # Not a dependency-health signal: the request ran out of budget,
-            # was cancelled, named nothing, or asked for an aggregate its data
-            # cannot give (a 400) -- the databases are fine.  Releasing frees
-            # a half-open probe slot for the next request.
+            # was cancelled, named nothing, or asked for what its data cannot
+            # give (a 400) -- the databases are fine.  Releasing frees a
+            # half-open probe slot for the next request.
             self.breakers.release(admission)
             raise
         except Exception:
@@ -681,7 +683,7 @@ class ExplainService:
             signature = self._signatures.setdefault(problem_key, signature)
             signature.solve_parts[solve_fp] = solve_part
             self._signatures.move_to_end(problem_key)
-            while len(self._signatures) > _SIGNATURE_LIMIT:
+            while len(self._signatures) > self._signature_limit:
                 self._signatures.popitem(last=False)
 
     def _signature_keys(
@@ -865,7 +867,7 @@ class ExplainService:
                 (signature.database_right, signature.query_right, "provenance_right"),
             ):
                 if side_database == database and delta_affects(
-                    query, delta, self._provenance.get(old_keys[slot])
+                    query, delta, self._provenance.peek(old_keys[slot])
                 ):
                     return True
             return False

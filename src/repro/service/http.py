@@ -28,6 +28,7 @@ import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from repro.core.canonical import UnknownAttributeError
 from repro.core.milp_model import NonFiniteImpactError
 from repro.live import DeltaConflictError, DeltaError
 from repro.relational.errors import EmptyAggregateError
@@ -86,6 +87,8 @@ ERROR_STATUS = (
     (EmptyAggregateError, 400),
     # A NaN or infinite impact reaching Stage 2: the caller's data again.
     (NonFiniteImpactError, 400),
+    # An attribute match naming an attribute the query does not produce.
+    (UnknownAttributeError, 400),
     (UnknownDatabaseError, 404),
     (DeltaConflictError, 409),
     (OperationCancelled, 409),

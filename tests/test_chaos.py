@@ -708,6 +708,55 @@ class TestDeadlinesEndToEnd:
         # (the objective is maximized).
         assert merged.objective <= exact.objective + 1e-9
 
+    def _pooled(self, problem, deadline, *, allow_partial):
+        # Two workers: partitions 0 and 1 start at once, well inside the
+        # 0.1 s budget; every later one starts after a 0.3 s delayed solve.
+        FAULTS.arm("solve.partition", "delay:0.3")
+        return PartitionedSolver(
+            problem,
+            SolveConfig(partitioning="smart", batch_size=10, workers=2),
+            deadline=deadline,
+            allow_partial=allow_partial,
+        )
+
+    def test_pooled_partial_keeps_started_partitions_and_skips_the_rest(
+        self, partitioned_problem
+    ):
+        solver = self._pooled(partitioned_problem, Deadline.after(0.1), allow_partial=True)
+        merged = solver.solve()
+        assert solver.stats.workers_used == 2
+        assert solver.stats.num_partitions > 2
+        assert solver.stats.partial
+        # The two partitions running when the deadline passed finished and
+        # were kept; none of the others started.
+        assert len(solver.stats.milp_sizes) == 2
+        assert solver.stats.unsolved_partitions == solver.stats.num_partitions - 2
+        assert solver.stats.optimality_gap > 0
+        FAULTS.reset()
+        exact = PartitionedSolver(
+            partitioned_problem, SolveConfig(partitioning="smart", batch_size=10, workers=1)
+        ).solve()
+        assert merged.objective <= exact.objective + 1e-9
+
+    def test_pooled_error_mode_raises_at_the_partition_checkpoint(self, partitioned_problem):
+        solver = self._pooled(partitioned_problem, Deadline.after(0.1), allow_partial=False)
+        with pytest.raises(DeadlineExceeded) as excinfo:
+            solver.solve()
+        assert excinfo.value.site == "solve.partition"
+
+    def test_pooled_cancel_propagates_even_with_allow_partial(self, partitioned_problem):
+        event = threading.Event()
+        solver = self._pooled(
+            partitioned_problem, Deadline.unbounded(cancel_event=event), allow_partial=True
+        )
+        timer = threading.Timer(0.1, event.set)
+        timer.start()
+        try:
+            with pytest.raises(OperationCancelled):
+                solver.solve()
+        finally:
+            timer.cancel()
+
     def test_deadline_error_mode_raises_within_one_checkpoint(
         self, synthetic_service
     ):

@@ -290,10 +290,9 @@ class TestPartitionedSolver:
         assert solver.stats.largest_partition <= 30 * 1.5
         assert solver.stats.milp_sizes
 
-    def test_unknown_mode_rejected(self, figure1_problem):
-        solver = PartitionedSolver(figure1_problem, SolveConfig(partitioning="bogus"))  # type: ignore[arg-type]
-        with pytest.raises(ValueError):
-            solver.solve()
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="partitioning mode"):
+            SolveConfig(partitioning="bogus")  # type: ignore[arg-type]
 
 
 class TestBuildProblem:

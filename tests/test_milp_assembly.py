@@ -9,7 +9,6 @@ model whichever path built it.
 from __future__ import annotations
 
 import math
-import pickle
 import random
 
 import numpy as np
@@ -171,6 +170,3 @@ def test_non_finite_impact_is_a_typed_error_naming_the_tuple(impact, side):
     assert (error.side, error.key) == (side, key)
     assert math.isnan(error.impact) if math.isnan(impact) else error.impact == impact
     assert key in str(error) and side.name.lower() in str(error) and repr(impact) in str(error)
-    # Process-pool workers send it back pickled: the fields must survive.
-    copy = pickle.loads(pickle.dumps(error))
-    assert (copy.side, copy.key, str(copy)) == (error.side, error.key, str(error))

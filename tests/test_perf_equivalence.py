@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalRelation, CanonicalTuple
+from repro.core.explain3d import Explain3DConfig
 from repro.core.partitioning import (
     PartitionedSolver,
     SolveConfig,
@@ -179,7 +180,7 @@ class TestParallelSolveEquivalence:
         )
         parallel = PartitionedSolver(
             problem,
-            SolveConfig(partitioning=mode, batch_size=30, workers=4, executor="thread"),
+            SolveConfig(partitioning=mode, batch_size=30, workers=4),
         )
         merged_sequential = sequential.solve()
         merged_parallel = parallel.solve()
@@ -190,29 +191,30 @@ class TestParallelSolveEquivalence:
             assert parallel.stats.num_partitions > 1
             assert parallel.stats.workers_used > 1
 
-    def test_parallel_processes_match_sequential(self, problem):
-        sequential = PartitionedSolver(
-            problem, SolveConfig(partitioning="smart", batch_size=30, workers=1)
-        )
-        parallel = PartitionedSolver(
-            problem,
-            SolveConfig(partitioning="smart", batch_size=30, workers=2, executor="process"),
-        )
-        merged_sequential = sequential.solve()
-        merged_parallel = parallel.solve()
-        assert merged_parallel.objective == merged_sequential.objective
-        assert _identity_sets(merged_parallel) == _identity_sets(merged_sequential)
-
     def test_default_workers_resolve_to_cpu_count(self):
         assert SolveConfig().resolved_workers() == (os.cpu_count() or 1)
         assert SolveConfig(workers=3).resolved_workers() == 3
         with pytest.raises(ValueError):
             SolveConfig(workers=0).resolved_workers()
 
-    def test_unknown_executor_rejected(self, problem):
-        solver = PartitionedSolver(problem, SolveConfig(executor="fiber"))
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"partitioning": "bogus"},
+            {"batch_size": 1},
+            {"batch_size": 2.5},
+            {"batch_size": True},
+            {"use_prepartitioning": "false"},
+            {"workers": 0},
+            {"workers": "two"},
+            {"workers": True},
+        ],
+    )
+    def test_bad_configs_fail_when_built(self, overrides):
         with pytest.raises(ValueError):
-            solver.solve()
+            SolveConfig(**overrides)
+        with pytest.raises(ValueError):
+            Explain3DConfig(**overrides)
 
     def test_solver_without_clone_falls_back_to_sequential(self, problem):
         from repro.solver.backends import HighsSolver

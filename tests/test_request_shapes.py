@@ -40,11 +40,12 @@ from repro.service import (
     ExplainService,
     ServiceClient,
     ServiceClientError,
+    ServiceConfig,
     request_from_payload,
     runs_request_from_payload,
     serve_in_background,
 )
-from repro.service.cache import EncodedPart, fingerprint_of
+from repro.service.cache import ArtifactCache, EncodedPart, fingerprint_of
 from repro.service.http import SpecError
 from repro.sql import parse_query
 from repro.sql.fuzz import fuzz_round, toy_database
@@ -114,9 +115,9 @@ def _raw_keys(request, config: Explain3DConfig, left_fp: str, right_fp: str) -> 
     }
 
 
-def _figure1_service() -> ExplainService:
+def _figure1_service(config: ServiceConfig | None = None) -> ExplainService:
     db1, db2, _ = figure1_databases()
-    service = ExplainService()
+    service = ExplainService(config)
     service.register_database(db1, "D1")
     service.register_database(db2, "D2")
     return service
@@ -223,18 +224,44 @@ class _CanonicalCounter:
 class TestRekeyingComputesNoCanonicalForm:
     SHAPES = 24
 
-    def _remember_shapes(self) -> ExplainService:
-        service = _figure1_service()
-        for index in range(self.SHAPES):
+    def _remember_shapes(self, shapes: int = SHAPES, config=None) -> ExplainService:
+        service = _figure1_service(config)
+        for index in range(shapes):
             payload = {**DECLARATIVE, "config": {
                 "partitioning": "none", "min_similarity": round(0.01 * index, 2),
             }}
             service.explain(request_from_payload(payload, database_resolver=service.database))
-        assert len(service._signatures) == self.SHAPES
         return service
+
+    def test_ingest_counts_no_cache_traffic(self):
+        service = self._remember_shapes()
+        provenance = service.caches.cache("provenance")
+        assert (provenance.stats.hits, provenance.stats.misses) == (46, 2)
+        service.ingest("D2", "D2", [{"op": "delete", "row_id": "D2:6"}])
+        assert (provenance.stats.hits, provenance.stats.misses) == (46, 2)
+
+    def test_peek_reads_spilled_entries_without_touching_order_or_counters(self, tmp_path):
+        cache = ArtifactCache("t", max_entries=2, spill_dir=tmp_path)
+        for key in ("a", "b", "c"):  # "a" spills
+            cache.put(key, key.upper())
+        before = (cache.keys(), cache.stats.as_dict())
+        assert [cache.peek(key) for key in ("a", "b", "z")] == ["A", "B", None]
+        assert (cache.keys(), cache.stats.as_dict()) == before
+
+    def test_registry_remembers_only_shapes_the_caches_can_hold(self):
+        config = ServiceConfig(cache_entries=4, report_cache_entries=6)
+        service = self._remember_shapes(10, config)
+        assert len(service._signatures) == 6
+        fingerprints = service.databases()
+        for problem_key, signature in service._signatures.items():
+            keys = service._signature_keys(signature, fingerprints["D1"], fingerprints["D2"])
+            assert problem_key in service._problems or any(
+                key in service._reports for key in keys["reports"].values()
+            )
 
     def test_ingest_hashes_cached_parts_only(self, monkeypatch):
         service = self._remember_shapes()
+        assert len(service._signatures) == self.SHAPES
         counter = _CanonicalCounter(monkeypatch)
         summary = service.ingest("D2", "D2", [{"op": "delete", "row_id": "D2:6"}])
         assert counter.calls == 0

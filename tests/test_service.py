@@ -232,9 +232,9 @@ class TestServiceEquivalence:
         self, figure1_service, figure1_request
     ):
         cold = figure1_service.explain(figure1_request)
-        reworked = figure1_service.with_config(figure1_request, workers=4, executor="thread")
+        reworked = figure1_service.with_config(figure1_request, workers=4)
         served = figure1_service.explain(reworked)
-        assert served.cached_report  # workers/executor are excluded from the key
+        assert served.cached_report  # workers are excluded from the key
         assert served.report is cold.report
 
     def test_differently_parameterized_solvers_do_not_share_reports(

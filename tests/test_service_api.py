@@ -924,6 +924,82 @@ class TestRunsEndpoint:
         assert canonical_report(served) == canonical_report(direct.to_dict())
 
 
+class TestClientMistakesSpareTheBreaker:
+    """Bad configs, unknown attributes and unknown relations are typed 400s.
+
+    None of them says anything about the health of the databases, so none
+    may count as a breaker failure or a degradation: the breaker here opens
+    on the first counted failure, and the next valid request must still be
+    answered.
+    """
+
+    BAD_CONFIGS = [
+        {"workers": 0},
+        {"workers": "two"},
+        {"workers": True},
+        {"executor": "fiber"},
+        {"partitioning": "bogus"},
+        {"batch_size": 1, "partitioning": "smart"},
+        {"num_buckets": 0},
+        {"min_similarity": "x"},
+        {"min_similarity": float("nan")},
+        {"min_match_probability": 2},
+        {"min_summary_precision": "x"},
+        {"summarize": "no"},
+    ]
+
+    @pytest.fixture()
+    def strict_server(self):
+        from repro.service import ServiceConfig
+
+        service = ExplainService(ServiceConfig(breaker_failures=1))
+        server, _ = serve_in_background(service, port=0)
+        host, port = server.server_address[:2]
+        client = ServiceClient(f"http://{host}:{port}")
+        client.register_database("D1", {"D1": D1_RECORDS})
+        client.register_database("D2", {"D2": D2_RECORDS})
+        yield client
+        server.shutdown()
+
+    def _rejected(self, client, payload) -> ServiceClientError:
+        with pytest.raises(ServiceClientError) as excinfo:
+            client.explain(payload)
+        assert excinfo.value.status == 400
+        # The breaker stayed closed and nothing degraded.
+        assert client.explain(EXPLAIN_PAYLOAD)["explanations"]["evidence"]
+        health = client.health()
+        assert health["status"] == "ok"
+        assert health["degradations"] == {}
+        return excinfo.value
+
+    @pytest.mark.parametrize("config", BAD_CONFIGS)
+    def test_bad_config_is_a_400_at_config(self, strict_server, config):
+        error = self._rejected(strict_server, {**EXPLAIN_PAYLOAD, "config": config})
+        assert (error.error_type, error.path) == ("SpecError", "/config")
+
+    def test_unknown_matched_attribute_is_a_400_at_its_match(self, strict_server):
+        payload = {**EXPLAIN_PAYLOAD, "attribute_matches": [["Program", "Major"], ["Nope", "Major"]]}
+        error = self._rejected(strict_server, payload)
+        assert (error.error_type, error.path) == ("UnknownAttributeError", "/attribute_matches/1")
+
+    @pytest.mark.parametrize(
+        "spec, pointer",
+        [
+            ({"relation": "Nope"}, "/query_left/relation"),
+            ({"source": "Nope"}, "/query_left/source"),
+            (
+                {"source": {"join": {"left": "D1", "right": "Nope", "on": [["Program", "Program"]]}}},
+                "/query_left/source/join/right",
+            ),
+            ({"source": {"union": ["D1", {"relation": "Nope"}]}}, "/query_left/source/union/1/relation"),
+        ],
+    )
+    def test_unknown_relation_is_a_400_at_the_field_naming_it(self, strict_server, spec, pointer):
+        query = {"name": "Q1", "kind": "count", "attribute": "Program", **spec}
+        error = self._rejected(strict_server, {**EXPLAIN_PAYLOAD, "query_left": query})
+        assert (error.error_type, error.path) == ("SpecError", pointer)
+
+
 class TestEmptyAggregateEnvelope:
     """Regression: a non-COUNT aggregate over an all-NULL column is a typed
     ``EmptyAggregateError`` 400 envelope with a JSON-pointer path, not a
