@@ -5,8 +5,10 @@ Times the dominant wall-clock costs of the reproduction:
 * **Stage 1 candidate matching** -- the vectorized kernel (per-tuple feature
   cache + batched NumPy/SciPy scoring) against the seed's inner loop: per-pair
   scalar scoring that re-tokenizes every attribute value for every compared
-  pair.  Both paths run blocking and build the same ``CandidateMatch`` list,
-  so the ratio isolates the re-tokenization + vectorization win.
+  pair.  Both paths run blocking and find the same ``(left, right,
+  similarity)`` candidates -- plain triples on the scalar side, the scored
+  mapping's columns on the vectorized side -- so the ratio isolates the
+  re-tokenization + vectorization win.
 * **Stage 2 partitioned solving** -- ``workers=1`` inline solving against the
   thread-pooled path on a multi-partition workload, timed warm and ungated
   (see :func:`bench_stage2`).
@@ -62,7 +64,7 @@ from repro.datasets.variants import VariantsConfig, generate_variant_runs
 from repro.graphs.bipartite import Side
 from repro.matching.blocking import TokenBlocker
 from repro.matching.similarity import combined_similarity
-from repro.matching.tuple_matching import CandidateMatch, generate_candidates
+from repro.matching.tuple_matching import generate_candidates
 from repro.runs import build_run_problem
 
 RESULT_PATH = ROOT / "BENCH_pipeline.json"
@@ -100,7 +102,7 @@ def bench_stage1(name, left_tuples, right_tuples, attribute_matches, *, min_simi
         for i, j in blocker.candidate_pairs(left_values, right_values):
             similarity = combined_similarity(left_values[i], right_values[j], attribute_pairs)
             if similarity > min_similarity:
-                candidates.append(CandidateMatch(left_keys[i], right_keys[j], similarity))
+                candidates.append((left_keys[i], right_keys[j], similarity))
         return candidates
 
     def vectorized():
@@ -115,7 +117,14 @@ def bench_stage1(name, left_tuples, right_tuples, attribute_matches, *, min_simi
 
     reference_seconds, reference_result = _best_of(reference)
     vectorized_seconds, vectorized_result = _best_of(vectorized)
-    if reference_result != vectorized_result:
+    vectorized_triples = list(
+        zip(
+            vectorized_result.left_keys.tolist(),
+            vectorized_result.right_keys.tolist(),
+            vectorized_result.similarities.tolist(),
+        )
+    )
+    if reference_result != vectorized_triples:
         raise AssertionError(f"{name}: vectorized candidates diverge from the scalar reference")
 
     entry = {

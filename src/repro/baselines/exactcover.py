@@ -20,7 +20,7 @@ from repro.baselines.base import DisagreementExplainer
 from repro.core.explanations import ExplanationSet
 from repro.core.problem import ExplainProblem
 from repro.core.scoring import derive_explanations_from_mapping
-from repro.matching.tuple_matching import TupleMapping, TupleMatch
+from repro.matching.tuple_matching import TupleMapping
 from repro.solver.backends import MILPSolver, default_solver
 from repro.solver.model import ConstraintSense, MILPModel, ObjectiveSense, linear_sum
 
@@ -73,12 +73,9 @@ class ExactCoverBaseline(DisagreementExplainer):
 
         solution = self.solver.solve(model)
 
-        evidence = TupleMapping()
-        for match in problem.mapping:
-            if solution.binary(assign_vars[match.pair].name):
-                evidence.add(
-                    TupleMatch(match.left_key, match.right_key, match.probability, match.similarity)
-                )
+        evidence = TupleMapping(
+            match for match in problem.mapping if solution.binary(assign_vars[match.pair].name)
+        )
         return derive_explanations_from_mapping(
             problem.canonical_left, problem.canonical_right, evidence, problem.relation
         )

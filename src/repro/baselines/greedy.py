@@ -107,7 +107,7 @@ class GreedyBaseline(DisagreementExplainer):
             relation.right_degree_limited if anchor is Side.LEFT else relation.left_degree_limited
         )
 
-        evidence = TupleMapping()
+        evidence: list[TupleMatch] = []
         for match in problem.mapping.sorted_by_probability():
             anchor_key = match.right_key if anchor is Side.RIGHT else match.left_key
             other_key = match.left_key if anchor is Side.RIGHT else match.right_key
@@ -120,10 +120,8 @@ class GreedyBaseline(DisagreementExplainer):
             if state.gain(anchor_key, other_key, match.probability) <= 0.0:
                 continue
             state.commit(anchor_key, other_key)
-            evidence.add(
-                TupleMatch(match.left_key, match.right_key, match.probability, match.similarity)
-            )
+            evidence.append(match)
 
         return derive_explanations_from_mapping(
-            problem.canonical_left, problem.canonical_right, evidence, relation
+            problem.canonical_left, problem.canonical_right, TupleMapping(evidence), relation
         )

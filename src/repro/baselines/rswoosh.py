@@ -111,11 +111,12 @@ class RSwooshBaseline(DisagreementExplainer):
         ]
         clusters = self._resolve(records)
 
-        evidence = TupleMapping()
-        for cluster in clusters:
-            for left_key in sorted(cluster.left_keys):
-                for right_key in sorted(cluster.right_keys):
-                    evidence.add(TupleMatch(left_key, right_key, 1.0))
+        evidence = TupleMapping(
+            TupleMatch(left_key, right_key, 1.0)
+            for cluster in clusters
+            for left_key in sorted(cluster.left_keys)
+            for right_key in sorted(cluster.right_keys)
+        )
 
         return derive_explanations_from_mapping(
             problem.canonical_left, problem.canonical_right, evidence, problem.relation

@@ -39,13 +39,13 @@ def _enforce_cardinality(evidence, problem: ExplainProblem):
     used_right: set[str] = set()
     from repro.matching.tuple_matching import TupleMapping
 
-    kept = TupleMapping()
+    kept = []
     for match in evidence.sorted_by_probability():
         if relation.left_degree_limited and match.left_key in used_left:
             continue
         if relation.right_degree_limited and match.right_key in used_right:
             continue
-        kept.add(match)
+        kept.append(match)
         used_left.add(match.left_key)
         used_right.add(match.right_key)
-    return kept
+    return TupleMapping(kept)

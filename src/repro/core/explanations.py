@@ -95,24 +95,24 @@ class ExplanationSet:
         """``|E|``: the number of individual explanations."""
         return len(self.provenance) + len(self.value)
 
-    def merge(self, other: "ExplanationSet") -> "ExplanationSet":
-        """Combine explanation sets from independently solved sub-problems."""
-        merged_evidence = TupleMapping(self.evidence)
-        for match in other.evidence:
-            merged_evidence.add(match)
-        return ExplanationSet(
-            provenance=self.provenance + other.provenance,
-            value=self.value + other.value,
-            evidence=merged_evidence,
-            objective=self.objective + other.objective,
-        )
-
     @staticmethod
     def merge_all(parts: Iterable["ExplanationSet"]) -> "ExplanationSet":
-        result = ExplanationSet()
+        """Combine explanation sets from independently solved sub-problems.
+
+        Sub-problems are disjoint, so no evidence pair occurs in two parts.
+        Lists and evidence columns are concatenated in part order, and the
+        objectives are summed left to right from 0.0.
+        """
+        parts = list(parts)
+        objective = 0.0
         for part in parts:
-            result = result.merge(part)
-        return result
+            objective += part.objective
+        return ExplanationSet(
+            provenance=[e for part in parts for e in part.provenance],
+            value=[e for part in parts for e in part.value],
+            evidence=TupleMapping.concat(part.evidence for part in parts),
+            objective=objective,
+        )
 
     def describe(self, *, max_items: int = 10) -> str:
         """Human-readable multi-line description used by the examples."""

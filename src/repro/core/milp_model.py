@@ -130,11 +130,11 @@ class MILPTransformation:
 
         self._model: MILPModel | None = None
         # Columns read by decode(): x per tuple (non-anchor, then anchor), I* per
-        # anchor, z per usable match (in ``self._usable`` order).
+        # anchor, z per usable match (the mapping rows in ``self._usable``).
         self._removed_columns = np.zeros(0, dtype=np.int64)
         self._refined_columns = np.zeros(0, dtype=np.int64)
         self._match_columns = np.zeros(0, dtype=np.int64)
-        self._usable: list[TupleMatch] = []
+        self._usable = np.zeros(0, dtype=np.intp)
 
     # -- orientation ------------------------------------------------------------------
     def anchor_side(self) -> Side:
@@ -181,22 +181,17 @@ class MILPTransformation:
         others = self._other_relation.tuples
         num_anchors, num_others = len(anchors), len(others)
 
-        # Usable matches and their endpoints' positions, in mapping order.
+        # Usable matches (mapping rows) and their endpoints' positions, in mapping order.
         anchor_at = {canonical_tuple.key: i for i, canonical_tuple in enumerate(anchors)}
         other_at = {canonical_tuple.key: j for j, canonical_tuple in enumerate(others)}
-        usable: list[TupleMatch] = []
-        anchor_of: list[int] = []
-        other_of: list[int] = []
-        for match in self.mapping:
-            i = anchor_at.get(self._anchor_key_of(match))
-            j = other_at.get(self._other_key_of(match))
-            if i is not None and j is not None:
-                usable.append(match)
-                anchor_of.append(i)
-                other_of.append(j)
+        if self._anchor_side is Side.LEFT:
+            anchor_of, other_of = self.mapping.positions(anchor_at, other_at)
+        else:
+            other_of, anchor_of = self.mapping.positions(other_at, anchor_at)
+        usable = np.flatnonzero((anchor_of >= 0) & (other_of >= 0))
         num_matches = len(usable)
-        match_anchor = np.array(anchor_of, dtype=np.int64)
-        match_other = np.array(other_of, dtype=np.int64)
+        match_anchor = anchor_of[usable]
+        match_other = other_of[usable]
 
         # -- columns ----------------------------------------------------------------------
         other_x = np.arange(num_others)
@@ -208,7 +203,7 @@ class MILPTransformation:
         # Per anchor: I* bounds and the big-M of Equation (7).
         other_impacts = [canonical_tuple.impact for canonical_tuple in others]
         neighbour_impacts: list[list] = [[] for _ in anchors]
-        for i, j in zip(anchor_of, other_of):
+        for i, j in zip(match_anchor.tolist(), match_other.tolist()):
             neighbour_impacts[i].append(other_impacts[j])
         refined_lower, refined_upper, big_m, kept_upper, kept_lower = [], [], [], [], []
         for canonical_tuple, impacts in zip(anchors, neighbour_impacts):
@@ -235,7 +230,7 @@ class MILPTransformation:
         # The reference's per-term constants (``0.0 * (a - u) + u`` and the like)
         # are exactly u, v and log(1 - p): all three are strictly negative, as the
         # priors and probabilities are clamped below 1.
-        terms = [MatchLogProbability.of(match.probability) for match in usable]
+        terms = [MatchLogProbability.of(p) for p in self.mapping.probabilities[usable].tolist()]
         constant = 0.0
         for term in chain(
             repeat(u, num_others), repeat(v, num_anchors), (t.rejected for t in terms)
@@ -502,11 +497,13 @@ class MILPTransformation:
                     )
                 )
 
-        evidence = TupleMapping()
-        for position in np.flatnonzero(np.round(x[self._match_columns]) >= 1).tolist():
-            match = self._usable[position]
-            # A fresh match: evidence reports the probability, not the score.
-            evidence.add(TupleMatch(match.left_key, match.right_key, match.probability))
+        rows = self._usable[np.round(x[self._match_columns]) >= 1]
+        mapping = self.mapping
+        # Evidence reports the probability, not the score: similarity 0.0.
+        evidence = TupleMapping.from_columns(
+            mapping.left_keys[rows], mapping.right_keys[rows], mapping.probabilities[rows],
+            np.zeros(len(rows)),
+        )
 
         return ExplanationSet(
             provenance=provenance,

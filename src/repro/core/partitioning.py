@@ -28,6 +28,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Literal, Optional, get_args
 
+import numpy as np
+
 from repro.core.canonical import CanonicalRelation
 from repro.core.explanations import ExplanationSet, ProvenanceExplanation
 from repro.core.milp_model import MILPTransformation
@@ -36,7 +38,7 @@ from repro.core.scoring import MatchLogProbability, Priors
 from repro.graphs.smart_partition import SmartPartitioner, TuplePartition
 from repro.graphs.weighting import WeightingParams
 from repro.matching.attribute_match import SemanticRelation
-from repro.matching.tuple_matching import TupleMapping, TupleMatch
+from repro.matching.tuple_matching import TupleMapping
 from repro.reliability.deadline import Deadline, DeadlineExceeded
 from repro.reliability.faults import FAULTS
 from repro.solver.backends import MILPSolver, default_solver
@@ -98,15 +100,15 @@ class SolveStats:
 
 def _restrict_by_partition(
     problem: ExplainProblem, partitions: list[TuplePartition]
-) -> tuple[list[CanonicalRelation], list[CanonicalRelation], list[TupleMapping], list[TupleMatch]]:
-    """Bucket canonical tuples and matches by partition in one pass each.
+) -> tuple[list[CanonicalRelation], list[CanonicalRelation], list[TupleMapping], TupleMapping]:
+    """Bucket canonical tuples by partition in one pass, and split the mapping by index.
 
     Partitions are disjoint by construction, so a key belongs to at most one
     partition and a match is internal to a partition exactly when both its
     endpoints land in the same one.  Tuple and match order within each bucket
     follows the original relation/mapping order, which keeps the per-partition
     MILPs identical to the former per-partition full-scan restriction.  The
-    fourth result lists the matches internal to no partition (the cut
+    fourth result holds the matches internal to no partition (the cut
     matches), in mapping order.
     """
     left_of: dict[str, int] = {}
@@ -127,14 +129,13 @@ def _restrict_by_partition(
         position = right_of.get(canonical_tuple.key)
         if position is not None:
             right_buckets[position].append(canonical_tuple)
-    match_buckets: list[list] = [[] for _ in partitions]
-    cut: list[TupleMatch] = []
-    for match in problem.mapping:
-        position = left_of.get(match.left_key)
-        if position is not None and right_of.get(match.right_key) == position:
-            match_buckets[position].append(match)
-        else:
-            cut.append(match)
+    # Each match's partition (``len(partitions)`` for a cut match), then its
+    # rows grouped by partition in mapping order.
+    mapping = problem.mapping
+    left_part, right_part = mapping.positions(left_of, right_of)
+    part = np.where((left_part >= 0) & (left_part == right_part), left_part, len(partitions))
+    rows = np.argsort(part, kind="stable")
+    bounds = np.searchsorted(part[rows], np.arange(len(partitions) + 2))
 
     template_left = problem.canonical_left
     template_right = problem.canonical_right
@@ -150,7 +151,8 @@ def _restrict_by_partition(
         )
         for bucket in right_buckets
     ]
-    mappings = [TupleMapping(bucket) for bucket in match_buckets]
+    mappings = [mapping.take(rows[start:end]) for start, end in zip(bounds, bounds[1:])]
+    cut = mappings.pop()
     return lefts, rights, mappings, cut
 
 
@@ -192,8 +194,8 @@ def _trivial_partition_solution(
     ]
     objective = a * len(provenance)
     bound = per_tuple_best * len(provenance)
-    for match in mapping:
-        terms = MatchLogProbability.of(match.probability)
+    for probability in mapping.probabilities.tolist():
+        terms = MatchLogProbability.of(probability)
         objective += terms.rejected
         bound += max(terms.selected, terms.rejected)
     piece = ExplanationSet(provenance=provenance, objective=objective)
@@ -314,8 +316,8 @@ class PartitionedSolver:
 
         # Matches cut across partitions are implicitly rejected (z = 0); add
         # their log(1 - p) terms so the merged objective matches Equation (13).
-        for match in cut:
-            merged.objective += MatchLogProbability.of(match.probability).rejected
+        for probability in cut.probabilities.tolist():
+            merged.objective += MatchLogProbability.of(probability).rejected
 
         self.stats.solve_time = time.perf_counter() - solve_start
         self.stats.total_time = time.perf_counter() - start

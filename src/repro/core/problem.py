@@ -13,6 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from repro.core.canonical import CanonicalRelation, UnknownAttributeError, canonicalize
 from repro.core.scoring import Priors
 from repro.graphs.bipartite import MatchGraph, Side
@@ -20,12 +22,7 @@ from repro.matching.attribute_match import AttributeMatching
 from repro.matching.calibration import calibrate_matches
 from repro.matching.features import TupleFeatureCache
 from repro.matching.schema_matcher import infer_attribute_matches
-from repro.matching.tuple_matching import (
-    CandidateMatch,
-    TupleMapping,
-    TupleMatch,
-    generate_candidates,
-)
+from repro.matching.tuple_matching import TupleMapping, generate_candidates
 from repro.relational.errors import EmptyAggregateError, ExecutionError
 from repro.relational.executor import Database
 from repro.relational.provenance import ProvenanceRelation, provenance_relation
@@ -34,6 +31,23 @@ from repro.relational.query import Aggregate, AggregateFunction, Project, Query
 
 class NotComparableError(ValueError):
     """Raised when two queries share no attribute match (Definition 2.2)."""
+
+
+class UnknownMatchKeyError(ValueError):
+    """A supplied tuple mapping names a key of no canonical tuple.
+
+    The caller's mistake, not a server fault: the service answers it with a
+    400 whose ``path`` points at the first offending ``tuple_mapping`` entry.
+    """
+
+    def __init__(self, index: int, side: Side, key: str):
+        super().__init__(
+            f"tuple_mapping entry {index} names {key!r}, which is no canonical tuple "
+            f"of the {side.name.lower()} side"
+        )
+        self.side = side
+        self.key = key
+        self.path = f"/tuple_mapping/{index}"
 
 
 @dataclass
@@ -47,16 +61,18 @@ class Stage1Artifacts:
     * ``provenance_left`` / ``provenance_right`` skip query re-execution;
     * ``left_features`` / ``right_features`` skip re-tokenization (validated
       against the canonical tuples, rebuilt when stale);
-    * ``candidates`` are the *unfiltered* scored candidate matches -- they are
+    * ``candidates`` are the *unfiltered* scored candidates -- they are
       independent of ``min_similarity``, which is applied per request, so one
-      scored list serves similarity-threshold perturbations too.
+      scored mapping serves similarity-threshold perturbations too.
+
+    A direct call starts from an empty instance, so it takes the same path.
     """
 
     provenance_left: ProvenanceRelation | None = None
     provenance_right: ProvenanceRelation | None = None
     left_features: TupleFeatureCache | None = None
     right_features: TupleFeatureCache | None = None
-    candidates: list[CandidateMatch] | None = None
+    candidates: TupleMapping | None = None
 
 
 @dataclass
@@ -115,11 +131,11 @@ def _scored_candidates(
     canonical_right: CanonicalRelation,
     attribute_matches: AttributeMatching,
     artifacts: Stage1Artifacts,
-) -> list[CandidateMatch]:
-    """The unfiltered scored candidate list, reusing/harvesting ``artifacts``.
+) -> TupleMapping:
+    """The unfiltered scored candidates, reusing/harvesting ``artifacts``.
 
     Scoring with a ``-inf`` threshold keeps every pair the (exact) blocker
-    emits, so the list can be filtered down to any requested
+    emits, so the candidates can be cut down to any requested
     ``min_similarity`` afterwards without rescoring.  Feature caches are
     validated against the canonical tuples and rebuilt when stale, then
     stored back for the next request.
@@ -148,12 +164,19 @@ def _scored_candidates(
     return artifacts.candidates
 
 
-def _similarity_as_probability(candidates) -> TupleMapping:
-    """Fallback when no labeled pairs exist: clamp similarity into a probability."""
-    return TupleMapping(
-        TupleMatch(left_key, right_key, min(max(similarity, 1e-3), 1.0 - 1e-3), similarity)
-        for left_key, right_key, similarity in candidates
+def _check_mapping_keys(
+    mapping: TupleMapping, canonical_left: CanonicalRelation, canonical_right: CanonicalRelation
+) -> None:
+    """Raise :class:`UnknownMatchKeyError` at the first match naming an unknown key."""
+    left, right = mapping.positions(
+        dict.fromkeys(canonical_left.keys(), 0), dict.fromkeys(canonical_right.keys(), 0)
     )
+    unknown = np.flatnonzero((left < 0) | (right < 0))
+    if unknown.size:
+        index = int(unknown[0])
+        if left[index] < 0:
+            raise UnknownMatchKeyError(index, Side.LEFT, mapping.left_keys[index])
+        raise UnknownMatchKeyError(index, Side.RIGHT, mapping.right_keys[index])
 
 
 def scalar_result(query: Query, provenance: ProvenanceRelation):
@@ -222,29 +245,26 @@ def build_problem(
     ``labeled_pairs`` are gold canonical-key pairs used to calibrate similarity
     scores into probabilities (Section 5.1.2); when absent, similarities are
     used directly as (clamped) probabilities.  ``tuple_mapping`` overrides the
-    whole record-linkage step with an externally supplied initial mapping.
-    ``artifacts`` injects (and harvests) reusable Stage-1 byproducts -- see
-    :class:`Stage1Artifacts`; the produced problem is identical with or
-    without it.
+    whole record-linkage step with an externally supplied initial mapping;
+    every key it names must be a canonical key (else
+    :class:`UnknownMatchKeyError`).  ``artifacts`` injects (and harvests)
+    reusable Stage-1 byproducts -- see :class:`Stage1Artifacts`; the produced
+    problem is identical with or without it.
     """
     # Stage 1 provenance capture runs through the query planner (repro.plan):
     # rewrites + hash joins replace the naive tree walk, with results (rows,
     # order, lineage) fingerprint-identical to the reference interpreter.
-    if artifacts is not None and artifacts.provenance_left is not None:
-        provenance_left = artifacts.provenance_left
-    else:
-        provenance_left = provenance_relation(
+    if artifacts is None:
+        artifacts = Stage1Artifacts()
+    if artifacts.provenance_left is None:
+        artifacts.provenance_left = provenance_relation(
             query_left, db_left, label=f"P[{query_left.name}]", planner="optimized"
         )
-    if artifacts is not None and artifacts.provenance_right is not None:
-        provenance_right = artifacts.provenance_right
-    else:
-        provenance_right = provenance_relation(
+    if artifacts.provenance_right is None:
+        artifacts.provenance_right = provenance_relation(
             query_right, db_right, label=f"P[{query_right.name}]", planner="optimized"
         )
-    if artifacts is not None:
-        artifacts.provenance_left = provenance_left
-        artifacts.provenance_right = provenance_right
+    provenance_left, provenance_right = artifacts.provenance_left, artifacts.provenance_right
 
     if attribute_matches is None:
         attribute_matches = infer_attribute_matches(provenance_left, provenance_right)
@@ -267,30 +287,23 @@ def build_problem(
                 break
         raise
 
-    if tuple_mapping is None:
-        if artifacts is None:
-            candidates = generate_candidates(
-                canonical_left.tuples,
-                canonical_right.tuples,
-                attribute_matches,
-                min_similarity=min_similarity,
-            )
-        else:
-            candidates = _scored_candidates(
-                canonical_left, canonical_right, attribute_matches, artifacts
-            )
-            # The harvested list is unfiltered; apply the request's threshold
-            # with the same strict comparison the generator uses.
-            candidates = [c for c in candidates if c.similarity > min_similarity]
+    if tuple_mapping is not None:
+        _check_mapping_keys(tuple_mapping, canonical_left, canonical_right)
+    else:
+        candidates = _scored_candidates(
+            canonical_left, canonical_right, attribute_matches, artifacts
+        )
+        # The scored candidates are unfiltered; apply the request's threshold
+        # with the same strict comparison the generator uses.  Without labels
+        # a candidate's probability is its clamped similarity.
+        tuple_mapping = candidates.take(candidates.similarities > min_similarity)
         if labeled_pairs is not None:
             tuple_mapping = calibrate_matches(
-                candidates,
+                tuple_mapping,
                 labeled_pairs,
                 num_buckets=num_buckets,
                 min_probability=min_match_probability,
             )
-        else:
-            tuple_mapping = _similarity_as_probability(candidates)
 
     result_left = result_right = None
     if compute_results:

@@ -9,7 +9,7 @@ import numpy as np
 from scipy.sparse import coo_array
 from scipy.sparse.csgraph import connected_components
 
-from repro.matching.tuple_matching import TupleMapping, TupleMatch
+from repro.matching.tuple_matching import TupleMapping
 
 
 class Side(enum.Enum):
@@ -29,7 +29,7 @@ class MatchGraph:
     ``right_keys[i - len(left_keys)]`` after that.  Edge ``e`` (mapping order)
     joins left position ``edge_left[e]`` to right position ``edge_right[e]``
     with probability ``edge_probability[e]``; a match naming a key outside the
-    key lists appends that key as a node.  Nodes without any incident edge are
+    key lists is a ``KeyError``.  Nodes without any incident edge are
     kept: they correspond to tuples that can only be explained as
     provenance-based explanations, and they must still be assigned to a
     partition.
@@ -39,22 +39,18 @@ class MatchGraph:
         self,
         left_keys: Iterable[str],
         right_keys: Iterable[str],
-        mapping: TupleMapping | Iterable[TupleMatch] = (),
+        mapping: TupleMapping,
     ):
         left = {key: position for position, key in enumerate(dict.fromkeys(left_keys))}
         right = {key: position for position, key in enumerate(dict.fromkeys(right_keys))}
-        lefts: list[int] = []
-        rights: list[int] = []
-        probabilities: list[float] = []
-        for match in mapping:
-            lefts.append(left.setdefault(match.left_key, len(left)))
-            rights.append(right.setdefault(match.right_key, len(right)))
-            probabilities.append(match.probability)
+        self.edge_left, self.edge_right = mapping.positions(left, right)
+        unknown = np.flatnonzero((self.edge_left < 0) | (self.edge_right < 0))
+        if unknown.size:
+            pair = (mapping.left_keys[unknown[0]], mapping.right_keys[unknown[0]])
+            raise KeyError(f"match {pair} names a key outside the graph's nodes")
         self.left_keys = list(left)
         self.right_keys = list(right)
-        self.edge_left = np.array(lefts, dtype=np.intp)
-        self.edge_right = np.array(rights, dtype=np.intp)
-        self.edge_probability = np.array(probabilities, dtype=float)
+        self.edge_probability = mapping.probabilities
 
     @property
     def num_nodes(self) -> int:

@@ -34,7 +34,6 @@ from repro.matching.features import (
     pair_similarity,
 )
 from repro.matching.tuple_matching import (
-    CandidateMatch,
     TupleMatch,
     TupleMapping,
     generate_candidates,
@@ -57,7 +56,6 @@ __all__ = [
     "BatchScorer",
     "batch_similarity",
     "pair_similarity",
-    "CandidateMatch",
     "TupleMatch",
     "TupleMapping",
     "generate_candidates",

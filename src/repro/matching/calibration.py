@@ -14,17 +14,16 @@ calibrator is total over [0, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.matching.tuple_matching import CandidateMatch, TupleMatch, TupleMapping
+import numpy as np
 
-_MIN_PROBABILITY = 1e-3
-_MAX_PROBABILITY = 1.0 - 1e-3
+from repro.matching.tuple_matching import MAX_PROBABILITY, MIN_PROBABILITY, TupleMapping
 
 
 def _clamp(probability: float) -> float:
     """Keep probabilities away from 0/1 so log-likelihoods stay finite."""
-    return min(max(probability, _MIN_PROBABILITY), _MAX_PROBABILITY)
+    return min(max(probability, MIN_PROBABILITY), MAX_PROBABILITY)
 
 
 @dataclass
@@ -95,47 +94,40 @@ class SimilarityCalibrator:
 
 
 def calibrate_matches(
-    candidates: Iterable[CandidateMatch],
+    candidates: TupleMapping,
     true_pairs: set[tuple[str, str]],
     *,
     num_buckets: int = 50,
     sample_fraction: float = 1.0,
     min_probability: float = 0.0,
 ) -> TupleMapping:
-    """Turn scored candidates into a probabilistic :class:`TupleMapping`.
+    """Give scored candidates calibrated probabilities.
 
-    ``true_pairs`` plays the role of the labeled sample: the calibrator learns
-    bucket probabilities from (a deterministic subsample of) the candidates
-    labeled against it, then assigns every candidate its bucket probability.
-    Candidates whose calibrated probability is below ``min_probability`` are
-    dropped from the initial mapping.
+    ``candidates`` are scored matches (see
+    :func:`~repro.matching.tuple_matching.generate_candidates`); only their
+    keys and similarity column are read.  ``true_pairs`` plays the role of the
+    labeled sample: the calibrator learns bucket probabilities from (a
+    deterministic subsample of) the candidates labeled against it, then
+    assigns every candidate its bucket probability.  Candidates whose
+    calibrated probability is below ``min_probability`` are dropped from the
+    initial mapping.
     """
-    candidates = list(candidates)
-    if not candidates:
-        return TupleMapping()
-
     if not 0.0 < sample_fraction <= 1.0:
         raise ValueError("sample_fraction must be in (0, 1]")
     stride = max(int(round(1.0 / sample_fraction)), 1)
-    sample = candidates[::stride] if stride > 1 else candidates
-
-    calibrator = SimilarityCalibrator(num_buckets)
-    calibrator.fit(
-        [candidate.similarity for candidate in sample],
-        [(candidate.left_key, candidate.right_key) in true_pairs for candidate in sample],
+    similarities = candidates.similarities.tolist()
+    sample_pairs = zip(
+        candidates.left_keys[::stride].tolist(), candidates.right_keys[::stride].tolist()
     )
 
-    mapping = TupleMapping()
-    for candidate in candidates:
-        probability = calibrator.probability(candidate.similarity)
-        if probability < min_probability:
-            continue
-        mapping.add(
-            TupleMatch(
-                candidate.left_key,
-                candidate.right_key,
-                probability,
-                candidate.similarity,
-            )
-        )
-    return mapping
+    calibrator = SimilarityCalibrator(num_buckets)
+    calibrator.fit(similarities[::stride], [pair in true_pairs for pair in sample_pairs])
+
+    probabilities = np.array([calibrator.probability(s) for s in similarities], dtype=float)
+    keep = probabilities >= min_probability
+    return TupleMapping.from_columns(
+        candidates.left_keys[keep],
+        candidates.right_keys[keep],
+        probabilities[keep],
+        candidates.similarities[keep],
+    )

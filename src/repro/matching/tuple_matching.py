@@ -10,7 +10,8 @@ refines it into the *evidence mapping* ``M*_tuple``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from itertools import repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,17 +20,9 @@ from repro.matching.blocking import TokenBlocker
 from repro.matching.features import BatchScorer, TupleFeatureCache
 
 
-class CandidateMatch(NamedTuple):
-    """A scored candidate pair before probability calibration.
-
-    A ``NamedTuple`` rather than a dataclass: candidate generation constructs
-    one per surviving pair, and tuple construction is several times cheaper
-    than a frozen dataclass's ``__init__``.
-    """
-
-    left_key: str
-    right_key: str
-    similarity: float
+#: Probabilities stay this far from 0 and 1 so log-likelihoods stay finite.
+MIN_PROBABILITY = 1e-3
+MAX_PROBABILITY = 1.0 - 1e-3
 
 
 @dataclass(frozen=True)
@@ -49,96 +42,116 @@ class TupleMatch:
         return f"TupleMatch({self.left_key} ~ {self.right_key}, p={self.probability:.3f})"
 
 
+#: A mapping's columns, and the :class:`TupleMatch` field each one holds.
+_COLUMNS = ("left_keys", "right_keys", "probabilities", "similarities")
+_FIELDS = ("left_key", "right_key", "probability", "similarity")
+
+
 class TupleMapping:
     """An insertion-ordered set of tuple matches, one per (left, right) pair.
 
     Used both for the initial mapping ``M_tuple`` and the refined evidence
-    mapping ``M*_tuple``.
+    mapping ``M*_tuple``.  Stored as four aligned columns: ``left_keys`` and
+    ``right_keys`` (object arrays), ``probabilities`` and ``similarities``
+    (float arrays).  Candidate scoring, partitioning, the MILP build and its
+    decode read the columns; iterating builds one :class:`TupleMatch` per row.
     """
 
     def __init__(self, matches: Iterable[TupleMatch] = ()):
-        self._matches: list[TupleMatch] = []
-        #: (left, right) -> probability of the first match added for the pair.
-        self._probability: dict[tuple[str, str], float] = {}
-        self._pairs_view: frozenset[tuple[str, str]] | None = None
+        first: dict[tuple[str, str], TupleMatch] = {}
         for match in matches:
-            self.add(match)
+            first.setdefault(match.pair, match)
+        self._assign(*([getattr(m, name) for m in first.values()] for name in _FIELDS))
+
+    @classmethod
+    def from_columns(cls, left_keys, right_keys, probabilities, similarities) -> "TupleMapping":
+        """A mapping over aligned columns; the caller guarantees that no pair repeats."""
+        mapping = cls.__new__(cls)
+        mapping._assign(left_keys, right_keys, probabilities, similarities)
+        return mapping
+
+    @classmethod
+    def concat(cls, mappings: Iterable["TupleMapping"]) -> "TupleMapping":
+        """The matches of ``mappings`` in order; no pair may occur in two of them."""
+        mappings = [cls(), *mappings]  # an empty head keeps zero mappings valid
+        return cls.from_columns(
+            *(np.concatenate([getattr(m, name) for m in mappings]) for name in _COLUMNS)
+        )
+
+    def _assign(self, left_keys, right_keys, probabilities, similarities) -> None:
+        self.left_keys = np.asarray(left_keys, dtype=object)
+        self.right_keys = np.asarray(right_keys, dtype=object)
+        self.probabilities = np.asarray(probabilities, dtype=float)
+        self.similarities = np.asarray(similarities, dtype=float)
+        self._rows: dict[tuple[str, str], int] | None = None  # built on the first lookup
+        self._pairs_view: frozenset[tuple[str, str]] | None = None
+
+    def _row_of(self) -> dict[tuple[str, str], int]:
+        if self._rows is None:
+            pairs = zip(self.left_keys.tolist(), self.right_keys.tolist())
+            self._rows = {pair: row for row, pair in enumerate(pairs)}
+        return self._rows
 
     # -- container protocol -------------------------------------------------------
     def __len__(self) -> int:
-        return len(self._matches)
+        return len(self.probabilities)
 
     def __iter__(self) -> Iterator[TupleMatch]:
-        return iter(self._matches)
+        return map(TupleMatch, *(getattr(self, name).tolist() for name in _COLUMNS))
 
     def __contains__(self, pair: tuple[str, str]) -> bool:
-        return tuple(pair) in self._probability
+        return tuple(pair) in self._row_of()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"TupleMapping({len(self._matches)} matches)"
+        return f"TupleMapping({len(self)} matches)"
 
     # -- mutation -----------------------------------------------------------------
     def add(self, match: TupleMatch) -> None:
-        pair = (match.left_key, match.right_key)
-        if pair in self._probability:
+        """Append ``match`` unless its pair is already mapped (the first one stays).
+
+        Each call copies the columns: build a large mapping with
+        ``TupleMapping(matches)`` instead.
+        """
+        rows = self._row_of()
+        if match.pair in rows:
             return
-        self._matches.append(match)
-        self._probability[pair] = match.probability
+        rows[match.pair] = len(rows)
+        for name, field in zip(_COLUMNS, _FIELDS):
+            setattr(self, name, np.append(getattr(self, name), getattr(match, field)))
         self._pairs_view = None
 
     # -- accessors ----------------------------------------------------------------
     @property
     def matches(self) -> tuple[TupleMatch, ...]:
-        return tuple(self._matches)
+        return tuple(self)
 
     def pairs(self) -> frozenset[tuple[str, str]]:
         """A frozen view of all (left, right) pairs, cached between mutations."""
         if self._pairs_view is None:
-            self._pairs_view = frozenset(self._probability)
+            self._pairs_view = frozenset(self._row_of())
         return self._pairs_view
 
-    # By-side lookups scan the matches: the pipeline never asks for them, so
-    # no per-match index is kept for them.
-    def for_left(self, key: str) -> tuple[TupleMatch, ...]:
-        return tuple(match for match in self._matches if match.left_key == key)
-
-    def for_right(self, key: str) -> tuple[TupleMatch, ...]:
-        return tuple(match for match in self._matches if match.right_key == key)
-
-    def left_keys(self) -> set[str]:
-        return {match.left_key for match in self._matches}
-
-    def right_keys(self) -> set[str]:
-        return {match.right_key for match in self._matches}
-
     def probability(self, left_key: str, right_key: str) -> float | None:
-        return self._probability.get((left_key, right_key))
+        row = self._row_of().get((left_key, right_key))
+        return None if row is None else float(self.probabilities[row])
 
-    def filtered(self, predicate: Callable[[TupleMatch], bool]) -> "TupleMapping":
-        return TupleMapping(match for match in self._matches if predicate(match))
+    def take(self, rows) -> "TupleMapping":
+        """The matches at ``rows`` (distinct positions or a boolean mask), in that order."""
+        return TupleMapping.from_columns(*(getattr(self, name)[rows] for name in _COLUMNS))
+
+    def positions(self, left_at: dict, right_at: dict) -> tuple[np.ndarray, np.ndarray]:
+        """Each match's keys looked up in ``left_at`` / ``right_at``; -1 where absent."""
+        return tuple(
+            np.fromiter(map(index.get, keys.tolist(), repeat(-1)), dtype=np.intp, count=len(keys))
+            for index, keys in ((left_at, self.left_keys), (right_at, self.right_keys))
+        )
 
     def above(self, threshold: float) -> "TupleMapping":
         """Matches with probability >= threshold (the THRESHOLD baseline)."""
-        return self.filtered(lambda match: match.probability >= threshold)
-
-    def restricted_to(self, left_keys: set[str], right_keys: set[str]) -> "TupleMapping":
-        return self.filtered(
-            lambda match: match.left_key in left_keys and match.right_key in right_keys
-        )
-
-    def best_per_left(self) -> "TupleMapping":
-        """Keep only the highest-probability match of each left tuple."""
-        best: dict[str, TupleMatch] = {}
-        for match in self._matches:
-            current = best.get(match.left_key)
-            if current is None or match.probability > current.probability:
-                best[match.left_key] = match
-        return TupleMapping(best.values())
+        return self.take(self.probabilities >= threshold)
 
     def sorted_by_probability(self, *, descending: bool = True) -> list[TupleMatch]:
-        return sorted(
-            self._matches, key=lambda match: match.probability, reverse=descending
-        )
+        return sorted(self, key=lambda match: match.probability, reverse=descending)
 
 
 def generate_candidates(
@@ -151,13 +164,18 @@ def generate_candidates(
     block_threshold: int = 10_000,
     left_features: TupleFeatureCache | None = None,
     right_features: TupleFeatureCache | None = None,
-) -> list[CandidateMatch]:
+) -> TupleMapping:
     """Score candidate pairs of canonical tuples by combined similarity.
 
     ``left_tuples`` / ``right_tuples`` are objects exposing ``key`` and a
     ``values`` mapping (both :class:`~repro.relational.provenance.ProvenanceTuple`
     and :class:`~repro.core.canonical.CanonicalTuple` qualify).  Pairs scoring
-    at or below ``min_similarity`` are dropped.
+    at or below ``min_similarity`` are dropped.  The survivors come back as a
+    :class:`TupleMapping` in row-major order, each with its similarity clamped
+    into ``[MIN_PROBABILITY, MAX_PROBABILITY]`` as its probability -- the
+    uncalibrated reading, which
+    :func:`~repro.matching.calibration.calibrate_matches` replaces.  Keys
+    must be unique within each side (canonical keys are).
 
     Features (token sets, numeric columns) are cached once per tuple and all
     candidate pairs are scored in one vectorized batch; blocking engages when
@@ -181,21 +199,21 @@ def generate_candidates(
     left_keys = np.asarray([t.key for t in left_tuples], dtype=object)
     right_keys = np.asarray([t.key for t in right_tuples], dtype=object)
 
-    candidates: list[CandidateMatch] = []
+    chunks: list[TupleMapping] = []
     scorer = BatchScorer(left_features, right_features, attribute_pairs)
 
     def score_pairs(ii: np.ndarray, jj: np.ndarray) -> None:
         similarities = scorer.score(ii, jj)
-        keep = np.flatnonzero(similarities > min_similarity)
-        if keep.size:
-            candidates.extend(
-                map(
-                    CandidateMatch,
-                    left_keys[ii[keep]].tolist(),
-                    right_keys[jj[keep]].tolist(),
-                    similarities[keep].tolist(),
-                )
+        keep = similarities > min_similarity
+        kept = similarities[keep]
+        chunks.append(
+            TupleMapping.from_columns(
+                left_keys[ii[keep]],
+                right_keys[jj[keep]],
+                np.clip(kept, MIN_PROBABILITY, MAX_PROBABILITY),
+                kept,
             )
+        )
 
     if use_blocking and len(left_tuples) * len(right_tuples) > block_threshold:
         blocker = TokenBlocker(attribute_pairs)
@@ -219,7 +237,7 @@ def generate_candidates(
             ii = np.repeat(rows, num_right)
             jj = np.tile(np.arange(num_right, dtype=np.intp), len(rows))
             score_pairs(ii, jj)
-    return candidates
+    return TupleMapping.concat(chunks)
 
 
 _UNBLOCKED_PAIR_CHUNK = 1 << 20

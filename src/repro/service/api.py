@@ -459,8 +459,11 @@ def matches_from_spec(spec: list, path: str = "") -> AttributeMatching:
 
 
 def mapping_from_spec(spec: list, path: str = "") -> TupleMapping:
-    """``[["T1:0", "T2:0", 0.95], ...]`` -> an explicit initial TupleMapping."""
-    mapping = TupleMapping()
+    """``[["T1:0", "T2:0", 0.95], ...]`` -> an explicit initial TupleMapping.
+
+    Each (left, right) pair may appear once, so entry ``i`` is match ``i``.
+    """
+    matches: dict[tuple[str, str], TupleMatch] = {}
     for index, entry in enumerate(spec):
         if not isinstance(entry, (list, tuple)) or len(entry) < 3:
             raise SpecError(
@@ -477,8 +480,11 @@ def mapping_from_spec(spec: list, path: str = "") -> TupleMapping:
         # JSON parsers accept NaN/Infinity; a non-finite probability has no log-odds.
         if not math.isfinite(probability):
             raise SpecError(f"mapping probability must be finite: {entry!r}", f"{path}/{index}")
-        mapping.add(TupleMatch(str(entry[0]), str(entry[1]), probability, similarity))
-    return mapping
+        pair = (str(entry[0]), str(entry[1]))
+        if pair in matches:
+            raise SpecError(f"mapping lists the pair {list(pair)} twice", f"{path}/{index}")
+        matches[pair] = TupleMatch(*pair, probability, similarity)
+    return TupleMapping(matches.values())
 
 
 _CONFIG_FIELDS = {f.name for f in fields(Explain3DConfig)}

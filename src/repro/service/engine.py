@@ -41,7 +41,7 @@ from typing import Optional
 from repro.core.canonical import UnknownAttributeError
 from repro.core.explain3d import Explain3D, Explain3DConfig, ExplanationReport
 from repro.core.milp_model import NonFiniteImpactError
-from repro.core.problem import Stage1Artifacts, build_problem
+from repro.core.problem import Stage1Artifacts, UnknownMatchKeyError, build_problem
 from repro.live import DeltaConflictError, DeltaError, apply_changes_copy, delta_affects
 from repro.matching.attribute_match import AttributeMatching
 from repro.matching.tuple_matching import TupleMapping
@@ -441,6 +441,7 @@ class ExplainService:
         except (
             DeadlineExceeded, OperationCancelled, UnknownDatabaseError,
             EmptyAggregateError, NonFiniteImpactError, UnknownAttributeError,
+            UnknownMatchKeyError,
         ):
             # Not a dependency-health signal: the request ran out of budget,
             # was cancelled, named nothing, or asked for what its data cannot

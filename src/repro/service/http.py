@@ -30,6 +30,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.core.canonical import UnknownAttributeError
 from repro.core.milp_model import NonFiniteImpactError
+from repro.core.problem import UnknownMatchKeyError
 from repro.live import DeltaConflictError, DeltaError
 from repro.relational.errors import EmptyAggregateError
 from repro.reliability.breaker import CircuitOpenError
@@ -87,8 +88,10 @@ ERROR_STATUS = (
     (EmptyAggregateError, 400),
     # A NaN or infinite impact reaching Stage 2: the caller's data again.
     (NonFiniteImpactError, 400),
-    # An attribute match naming an attribute the query does not produce.
+    # An attribute match naming an attribute the query does not produce, or
+    # a supplied tuple mapping naming a key of no canonical tuple.
     (UnknownAttributeError, 400),
+    (UnknownMatchKeyError, 400),
     (UnknownDatabaseError, 404),
     (DeltaConflictError, 409),
     (OperationCancelled, 409),

@@ -223,13 +223,17 @@ class TestExplanationSet:
         )
         second = ExplanationSet(
             value=[ValueExplanation(Side.RIGHT, "c", 1.0, 2.0)],
-            evidence=TupleMapping([TupleMatch("c", "d", 0.5)]),
+            evidence=TupleMapping([TupleMatch("c", "d", 0.25, 0.7), TupleMatch("e", "f", 0.5)]),
             objective=-2.0,
         )
-        merged = first.merge(second)
+        merged = ExplanationSet.merge_all([first, ExplanationSet(), second])
         assert merged.size == 2
-        assert len(merged.evidence) == 2
         assert merged.objective == -3.0
+        # The evidence columns are concatenated in part order.
+        assert merged.evidence.left_keys.tolist() == ["a", "c", "e"]
+        assert merged.evidence.probabilities.tolist() == [0.5, 0.25, 0.5]
+        assert list(merged.evidence)[1] == TupleMatch("c", "d", 0.25, 0.7)
+        assert ExplanationSet.merge_all([]).objective == 0.0
 
     def test_identity_views(self):
         explanations = ExplanationSet(

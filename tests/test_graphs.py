@@ -41,10 +41,10 @@ class TestMatchGraph:
         assert graph.edge_right.tolist() == [0, 0, 1, 2]
         assert graph.edge_probability.tolist() == [0.95, 0.3, 0.92, 0.05]
 
-    def test_add_edge_creates_missing_nodes(self):
-        graph = MatchGraph([], [], [TupleMatch("a", "b", 0.5)])
-        assert graph.num_nodes == 2
-        assert (graph.left_keys, graph.right_keys) == (["a"], ["b"])
+    def test_a_match_naming_an_unknown_key_raises(self):
+        for pair in (("a", "r0"), ("l0", "b")):
+            with pytest.raises(KeyError, match="outside the graph's nodes"):
+                MatchGraph(["l0"], ["r0"], TupleMapping([TupleMatch(*pair, 0.5)]))
 
 
 class TestComponents:

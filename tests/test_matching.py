@@ -17,7 +17,7 @@ from repro.matching.similarity import (
     tokenize,
     value_similarity,
 )
-from repro.matching.tuple_matching import CandidateMatch, TupleMapping, TupleMatch, generate_candidates
+from repro.matching.tuple_matching import TupleMapping, TupleMatch, generate_candidates
 
 
 class TestSimilarity:
@@ -133,25 +133,28 @@ class TestTupleMapping:
 
     def test_indexes(self):
         mapping = self.make()
-        assert {m.right_key for m in mapping.for_left("a")} == {"x", "y"}
-        assert {m.left_key for m in mapping.for_right("y")} == {"a", "b"}
-        assert mapping.left_keys() == {"a", "b"}
+        assert mapping.probability("a", "y") == 0.4
+        assert mapping.probability("b", "x") is None
+        left, right = mapping.positions({"a": 0}, {"x": 5, "y": 6})
+        assert left.tolist() == [0, 0, -1]
+        assert right.tolist() == [5, 6, 6]
+
+    def test_columns(self):
+        mapping = self.make()
+        assert mapping.left_keys.tolist() == ["a", "a", "b"]
+        assert mapping.right_keys.tolist() == ["x", "y", "y"]
+        assert mapping.probabilities.tolist() == [0.9, 0.4, 0.8]
+        assert [m.pair for m in mapping.take([2, 0])] == [("b", "y"), ("a", "x")]
+        added = mapping.take([0])
+        added.add(TupleMatch("c", "z", 0.3, 0.6))
+        assert list(added) == [TupleMatch("a", "x", 0.9), TupleMatch("c", "z", 0.3, 0.6)]
 
     def test_above(self):
         assert {m.pair for m in self.make().above(0.8)} == {("a", "x"), ("b", "y")}
 
-    def test_best_per_left(self):
-        best = self.make().best_per_left()
-        assert best.probability("a", "x") == 0.9
-        assert best.probability("a", "y") is None
-
     def test_sorted_by_probability(self):
         ordered = self.make().sorted_by_probability()
         assert [m.probability for m in ordered] == [0.9, 0.8, 0.4]
-
-    def test_restricted_to(self):
-        restricted = self.make().restricted_to({"a"}, {"x", "y"})
-        assert restricted.pairs() == {("a", "x"), ("a", "y")}
 
 
 class _Entity:
@@ -173,7 +176,7 @@ class TestCandidateGeneration:
         left = [_Entity("l0", {"name": "Food Science"})]
         right = [_Entity("r0", {"name": "Food Business"})]
         weak = generate_candidates(left, right, matching(("name", "name")), min_similarity=0.5)
-        assert weak == []
+        assert len(weak) == 0
 
 
 class TestCalibration:
@@ -203,23 +206,23 @@ class TestCalibration:
         with pytest.raises(ValueError):
             SimilarityCalibrator().fit([0.5], [True, False])
 
+    @staticmethod
+    def scored(*triples) -> TupleMapping:
+        return TupleMapping(TupleMatch(left, right, 0.5, score) for left, right, score in triples)
+
     def test_calibrate_matches_builds_mapping(self):
-        candidates = [
-            CandidateMatch("l0", "r0", 0.9),
-            CandidateMatch("l1", "r1", 0.9),
-            CandidateMatch("l0", "r1", 0.1),
-        ]
+        candidates = self.scored(("l0", "r0", 0.9), ("l1", "r1", 0.9), ("l0", "r1", 0.1))
         mapping = calibrate_matches(candidates, {("l0", "r0"), ("l1", "r1")}, num_buckets=5)
         assert len(mapping) == 3
         assert mapping.probability("l0", "r0") > mapping.probability("l0", "r1")
 
     def test_calibrate_matches_min_probability_filters(self):
-        candidates = [CandidateMatch("l0", "r0", 0.9), CandidateMatch("l0", "r1", 0.05)]
+        candidates = self.scored(("l0", "r0", 0.9), ("l0", "r1", 0.05))
         mapping = calibrate_matches(candidates, {("l0", "r0")}, min_probability=0.5)
         assert mapping.pairs() == {("l0", "r0")}
 
     def test_calibrate_matches_empty(self):
-        assert len(calibrate_matches([], set())) == 0
+        assert len(calibrate_matches(TupleMapping(), set())) == 0
 
 
 class TestAttributeMatches:

@@ -4,9 +4,8 @@ The vectorized matching kernel and the parallel partitioned solver are pure
 optimizations: they must produce results identical to the scalar / sequential
 reference paths.  These tests pin that contract:
 
-* blocked + batched candidate generation yields exactly the same
-  ``CandidateMatch`` list as unblocked scoring on mixed string/numeric/NULL
-  data;
+* blocked + batched candidate generation yields exactly the same scored
+  candidates as unblocked scoring on mixed string/numeric/NULL data;
 * the batch similarity kernel is bit-identical to the scalar
   ``combined_similarity``;
 * ``workers=N`` parallel solving produces the same merged objective and the
@@ -24,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.canonical import CanonicalRelation, CanonicalTuple
-from repro.core.explain3d import Explain3DConfig
+from repro.core.explain3d import Explain3D, Explain3DConfig
 from repro.core.partitioning import (
     PartitionedSolver,
     SolveConfig,
@@ -132,7 +131,7 @@ class TestVectorizedKernel:
             use_blocking=False,
         )
         # Same candidates, same similarities, same (row-major) order.
-        assert blocked == unblocked
+        assert list(blocked) == list(unblocked)
 
     def test_blocked_candidates_equal_all_pairs_on_synthetic_workload(self):
         pair = generate_synthetic_pair(
@@ -152,7 +151,7 @@ class TestVectorizedKernel:
             problem.attribute_matches,
             use_blocking=False,
         )
-        assert blocked == unblocked
+        assert list(blocked) == list(unblocked)
         assert len(blocked) > 0
 
 
@@ -286,6 +285,31 @@ class TestSinglePassRestriction:
         # The cut match belongs to no partition and is returned on its own.
         assert all(("l0", "r2") not in m.pairs() for m in mappings)
         assert [m.pair for m in cut] == [("l0", "r2")]
+
+
+class TestColumnarMapping:
+    def test_an_explain_builds_one_tuple_match_per_evidence_match(self, monkeypatch):
+        """Stage 1 to decode read the mapping's columns; only the report's
+        evidence becomes ``TupleMatch`` objects."""
+        pair = generate_synthetic_pair(
+            SyntheticConfig(num_tuples=300, vocabulary_size=500, difference_ratio=0.2, seed=1)
+        )
+        built = []
+        construct = TupleMatch.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(args[:2])
+            construct(self, *args, **kwargs)
+
+        monkeypatch.setattr(TupleMatch, "__init__", counting)
+        config = Explain3DConfig(partitioning="smart", batch_size=100, workers=1)
+        report = Explain3D(config).explain(
+            pair.query_left, pair.db_left, pair.query_right, pair.db_right,
+            attribute_matches=pair.attribute_matches,
+        )
+        evidence = report.to_dict()["explanations"]["evidence"]
+        assert len(evidence) == 256
+        assert built == [(match["left"], match["right"]) for match in evidence]
 
 
 class TestScoringCaches:

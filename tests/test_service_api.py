@@ -925,7 +925,8 @@ class TestRunsEndpoint:
 
 
 class TestClientMistakesSpareTheBreaker:
-    """Bad configs, unknown attributes and unknown relations are typed 400s.
+    """Bad configs, unknown attributes, unknown relations and bad tuple
+    mappings are typed 400s.
 
     None of them says anything about the health of the databases, so none
     may count as a breaker failure or a degradation: the breaker here opens
@@ -981,6 +982,29 @@ class TestClientMistakesSpareTheBreaker:
         payload = {**EXPLAIN_PAYLOAD, "attribute_matches": [["Program", "Major"], ["Nope", "Major"]]}
         error = self._rejected(strict_server, payload)
         assert (error.error_type, error.path) == ("UnknownAttributeError", "/attribute_matches/1")
+
+    @pytest.mark.parametrize("partitioning", ["none", "components"])
+    @pytest.mark.parametrize(
+        "entry, message",
+        [(["T1:99", "T2:98", 0.5], "'T1:99'"), (["T1:5", "T2:98", 0.5], "'T2:98'")],
+        ids=["unknown-left", "unknown-right"],
+    )
+    def test_a_mapping_naming_an_unknown_key_is_a_400_at_its_entry(
+        self, strict_server, partitioning, entry, message
+    ):
+        mapping = list(EXPLAIN_PAYLOAD["tuple_mapping"])
+        mapping.insert(3, entry)
+        config = {**EXPLAIN_PAYLOAD["config"], "partitioning": partitioning}
+        error = self._rejected(
+            strict_server, {**EXPLAIN_PAYLOAD, "tuple_mapping": mapping, "config": config}
+        )
+        assert (error.error_type, error.path) == ("UnknownMatchKeyError", "/tuple_mapping/3")
+        assert message in str(error)
+
+    def test_a_mapping_repeating_a_pair_is_a_400_at_the_repeat(self, strict_server):
+        mapping = EXPLAIN_PAYLOAD["tuple_mapping"] + [["T1:0", "T2:0", 0.1]]
+        error = self._rejected(strict_server, {**EXPLAIN_PAYLOAD, "tuple_mapping": mapping})
+        assert (error.error_type, error.path) == ("SpecError", "/tuple_mapping/6")
 
     @pytest.mark.parametrize(
         "spec, pointer",
