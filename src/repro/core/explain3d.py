@@ -247,6 +247,7 @@ class Explain3D:
         stage1_seconds: float = 0.0,
         deadline=None,
         allow_partial: bool = False,
+        solutions=None,
     ) -> ExplanationReport:
         """Stages 2-3 for an already constructed problem.
 
@@ -257,7 +258,10 @@ class Explain3D:
         solver checkpoints; with ``allow_partial`` an expired deadline yields
         the incumbent explanation set with an optimality gap (and skips
         summarization when the budget is gone) instead of raising, each rung
-        recorded in the report's ``degraded`` list.
+        recorded in the report's ``degraded`` list.  ``solutions`` is a
+        service's tier of solved partition models (see
+        :class:`~repro.core.partitioning.TieredHighs`); without one every
+        partition is solved.
         """
         timings: dict[str, float] = {"stage1": stage1_seconds}
         degraded: list[dict] = []
@@ -265,7 +269,7 @@ class Explain3D:
         solve_start = time.perf_counter()
         solver = PartitionedSolver(
             problem, self.config.solve_config(),
-            deadline=deadline, allow_partial=allow_partial,
+            deadline=deadline, allow_partial=allow_partial, solutions=solutions,
         )
         explanations = solver.solve()
         timings["solve"] = time.perf_counter() - solve_start

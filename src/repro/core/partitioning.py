@@ -17,10 +17,15 @@ binding releases the GIL for the whole ``Highs::run``, so on two cores two
 partitions solve at once.  Restricting the canonical relations and the
 mapping to the partitions is done in a single pass that buckets tuples and
 matches by partition, instead of one full scan per partition.
+
+A service passes its ``solutions`` tier (:class:`TieredHighs`): a partition
+model HiGHS already solved for that service is decoded from the stored
+vector instead of solved again.  A direct solve has no tier.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 import os
 import time
@@ -41,7 +46,8 @@ from repro.matching.attribute_match import SemanticRelation
 from repro.matching.tuple_matching import TupleMapping
 from repro.reliability.deadline import Deadline, DeadlineExceeded
 from repro.reliability.faults import FAULTS
-from repro.solver.backends import MILPSolver, default_solver
+from repro.solver.backends import HighsSolver, MILPSolution, MILPSolver, default_solver
+from repro.solver.model import MILPModel
 
 PartitioningMode = Literal["none", "components", "smart"]
 
@@ -206,6 +212,37 @@ def _supports_cloning(solver: MILPSolver) -> bool:
     return callable(getattr(solver, "clone", None))
 
 
+class TieredHighs:
+    """HiGHS behind a ``solutions`` tier: each distinct model is solved once.
+
+    ``solutions`` is a thread-safe map (an
+    :class:`~repro.service.cache.ArtifactCache`) from a key over the model's
+    :meth:`~repro.solver.model.MILPModel.fingerprint` and the HiGHS options
+    to the objective and solution vector HiGHS returned.  HiGHS is
+    deterministic for a given model and options, so a hit returns exactly
+    what a fresh solve would.  Only a successful solve of a model with
+    variables is stored.  Vectors are stored as bytes, so a hit's ``x`` is a
+    read-only view that no caller can change for later hits.
+    """
+
+    def __init__(self, solver: HighsSolver, solutions):
+        self.solver = solver
+        self.solutions = solutions
+        self._options = repr((solver.mip_rel_gap, solver.time_limit)).encode()
+
+    def solve(self, model: MILPModel) -> MILPSolution:
+        if model.num_variables == 0:
+            return self.solver.solve(model)
+        key = hashlib.sha256(model.fingerprint().encode() + b"|" + self._options).hexdigest()
+        stored = self.solutions.get(key)
+        if stored is not None:
+            objective, x = stored
+            return MILPSolution(objective, np.frombuffer(x), model.names)
+        solution = self.solver.solve(model)
+        self.solutions.put(key, (solution.objective, solution.x.tobytes()))
+        return solution
+
+
 class PartitionedSolver:
     """Solves an :class:`ExplainProblem`, optionally split into sub-problems."""
 
@@ -216,6 +253,7 @@ class PartitionedSolver:
         *,
         deadline: Deadline | None = None,
         allow_partial: bool = False,
+        solutions=None,
     ):
         self.problem = problem
         self.config = config or SolveConfig()
@@ -228,6 +266,9 @@ class PartitionedSolver:
         #: partitions + trivial fallbacks, with an optimality gap in
         #: ``stats``) instead of raising :class:`DeadlineExceeded`.
         self.allow_partial = allow_partial
+        #: A service's ``solutions`` tier (see :class:`TieredHighs`), or None
+        #: to solve every partition.
+        self.solutions = solutions
 
     # -- partition selection ----------------------------------------------------------
     def _partitions(self) -> list[TuplePartition]:
@@ -283,9 +324,7 @@ class PartitionedSolver:
                 mappings[position],
                 self.problem.relation,
                 self.problem.priors,
-                # Inline solving keeps the caller's instance (its post-solve
-                # state, e.g. BnB stats, stays observable as before).
-                self.solver.clone() if pooled else self.solver,
+                self._partition_solver(pooled),
             )
             for position, partition in enumerate(partitions)
         ]
@@ -322,6 +361,16 @@ class PartitionedSolver:
         self.stats.solve_time = time.perf_counter() - solve_start
         self.stats.total_time = time.perf_counter() - start
         return merged
+
+    def _partition_solver(self, pooled: bool) -> MILPSolver:
+        # Inline solving keeps the caller's instance (its post-solve state,
+        # e.g. BnB stats, stays observable as before).
+        solver = self.solver.clone() if pooled else self.solver
+        # Only HiGHS itself goes through the tier: the branch-and-bound twin
+        # is an oracle and always solves, and a subclass may solve otherwise.
+        if self.solutions is not None and type(solver) is HighsSolver:
+            return TieredHighs(solver, self.solutions)
+        return solver
 
     # -- task execution (inline or pooled, deadline-checkpointed) ---------------------
     def _run(self, tasks: list) -> list[Optional[tuple]]:

@@ -27,7 +27,9 @@ from pathlib import Path
 
 #: The artifact caches that participate in the shared tier (the service's
 #: spillable caches; ``plans`` opts out -- it holds live database references).
-SHARED_TIERS = ("provenance", "stats", "features", "candidates", "problem", "report")
+SHARED_TIERS = (
+    "provenance", "stats", "features", "candidates", "problem", "report", "solutions",
+)
 
 
 class SharedCacheTier:

@@ -6,7 +6,9 @@ job retry attempts), plus two smoke modes:
 
 * ``--self-test`` boots the daemon on an ephemeral port, drives one full
   register + explain round trip through the HTTP client, validates the
-  response shape, and exits -- the CI smoke job runs exactly that;
+  response shape, asks the question again under a renamed query (a report
+  miss whose partition model is a ``solutions``-tier hit, with the same
+  explanations), and exits -- the CI smoke job runs exactly that;
 * ``--crash-smoke`` exercises crash recovery: it starts the daemon as a
   subprocess with a disk-spill directory, serves requests, ``kill -9``-s the
   process, corrupts a spilled cache file (plus plants an orphaned temp file,
@@ -97,6 +99,15 @@ def self_test() -> int:
         assert report["service"]["cached_report"] is False
         warm = client.explain(payload)
         assert warm["service"]["cached_report"] is True, "repeat request must hit the cache"
+        # The same question under another name is a new report, but its
+        # partition model is one this service already solved.
+        renamed = client.explain(
+            {**payload, "query_left": {**payload["query_left"], "name": "Q1b"}}
+        )
+        assert renamed["service"]["cached_report"] is False, "a renamed query is a new report"
+        assert renamed["explanations"] == report["explanations"], (
+            "a solutions-tier hit changed the explanations"
+        )
         job = client.submit_job(payload)
         final = client.wait_for_job(job["id"])
         assert final["state"] == "done", f"job failed: {final}"
@@ -121,10 +132,13 @@ def self_test() -> int:
         assert plans["misses"] >= 1, f"plans cache never exercised: {plans}"
         stats_cache = stats["service"]["caches"]["stats"]
         assert stats_cache["misses"] >= 1, f"stats cache never exercised: {stats_cache}"
+        solutions = stats["service"]["caches"]["solutions"]
+        assert solutions["hits"] >= 1, f"solutions tier never hit: {solutions}"
         print(
-            "service self-test ok: cold + warm + async explain + plan + analyze "
-            f"round trips passed (plans cache: {plans['hits']} hits / "
-            f"{plans['misses']} misses)"
+            "service self-test ok: cold + warm + renamed + async explain + plan + "
+            f"analyze round trips passed (plans cache: {plans['hits']} hits / "
+            f"{plans['misses']} misses; solutions tier: {solutions['hits']} hits / "
+            f"{solutions['misses']} misses)"
         )
         return 0
     finally:

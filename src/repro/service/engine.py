@@ -19,12 +19,20 @@ across requests:
 * **problem** per (Stage-1 inputs + linkage config) -- the assembled
   :class:`~repro.core.problem.ExplainProblem`;
 * **report** per (problem + solve/summarize config) -- the finished
-  :class:`~repro.core.explain3d.ExplanationReport`.
+  :class:`~repro.core.explain3d.ExplanationReport`;
+* **solutions** per (partition MILP content + HiGHS options) -- the
+  objective and vector HiGHS returned (see
+  :class:`~repro.core.partitioning.TieredHighs`), so a cold question whose
+  partition model this service already solved skips HiGHS.  The keys are
+  model content, never database fingerprints, so ingest rewiring and
+  version retirement leave the tier alone.
 
 A repeated request is a report-cache hit (no recomputation at all); a request
 that perturbs only the solve configuration reuses the cached problem; one that
 perturbs only the linkage thresholds reuses provenance, features and scored
-candidates.  Responses are identical to a direct ``Explain3D.explain()`` call
+candidates; a different question over the same slice of data (SUM, MAX and
+AVG of IMDb ``gross`` over one year build one model) reuses solved
+partitions.  Responses are identical to a direct ``Explain3D.explain()`` call
 with the same inputs -- the caches inject work, never change it.
 """
 
@@ -287,6 +295,7 @@ class ExplainService:
         self._reports = self.caches.cache(
             "report", max_entries=self.config.report_cache_entries
         )
+        self._solutions = self.caches.cache("solutions")
         #: Compiled ``{"sql": ...}`` query specs, so a repeated question skips
         #: lex, parse, bind and lower (see :func:`repro.service.api.query_from_spec`).
         self.compiled_queries = ArtifactCache(
@@ -441,7 +450,7 @@ class ExplainService:
         except (
             DeadlineExceeded, OperationCancelled, UnknownDatabaseError,
             EmptyAggregateError, NonFiniteImpactError, UnknownAttributeError,
-            UnknownMatchKeyError,
+            UnknownMatchKeyError, UnknownRelationError,
         ):
             # Not a dependency-health signal: the request ran out of budget,
             # was cancelled, named nothing, or asked for what its data cannot
@@ -501,6 +510,7 @@ class ExplainService:
             stage1_seconds=build_seconds,
             deadline=deadline if deadline.bounded or deadline.cancel_event else None,
             allow_partial=request.on_deadline == "partial",
+            solutions=self._solutions,
         )
         degraded.extend(report.degraded)
         for rung in degraded:
@@ -1003,11 +1013,16 @@ class ExplainService:
         reason -- a lowering bug, an injected fault -- fall back to the naive
         reference interpreter, which produces fingerprint-identical provenance
         (asserted by the chaos suite).  The rung is recorded in ``degraded``
-        and in the engine counters; answers never change, only speed.
+        and in the engine counters; answers never change, only speed.  A
+        query naming a relation the database lacks is the caller's mistake,
+        not a planner fault: the naive interpreter fails on it too, so the
+        :class:`UnknownRelationError` propagates as it is.
         """
         inner = query.inner
         try:
             plan = self._cached_plan(db, db_fp, inner, lambda: plan_node(inner, db))
+        except UnknownRelationError:
+            raise
         except Exception as exc:
             logger.warning(
                 "optimized planner failed for %s (%s: %s); "
@@ -1098,12 +1113,16 @@ class ExplainService:
         breakers = self.breakers.states()
         cache_stats = self.caches.stats()
         degraded = self.breakers.any_open() or bool(degradations)
+        tiers = {
+            name: {"hits": counters["hits"], "misses": counters["misses"]}
+            for name, counters in cache_stats["caches"].items()
+        }
         return {
             "status": "degraded" if degraded else "ok",
             "requests_served": served,
             "breakers": breakers,
             "degradations": degradations,
-            "caches": cache_stats["total"],
+            "caches": {**cache_stats["total"], "tiers": tiers},
         }
 
     def clear_caches(self) -> None:

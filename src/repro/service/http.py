@@ -32,7 +32,7 @@ from repro.core.canonical import UnknownAttributeError
 from repro.core.milp_model import NonFiniteImpactError
 from repro.core.problem import UnknownMatchKeyError
 from repro.live import DeltaConflictError, DeltaError
-from repro.relational.errors import EmptyAggregateError
+from repro.relational.errors import EmptyAggregateError, UnknownRelationError
 from repro.reliability.breaker import CircuitOpenError
 from repro.reliability.deadline import DeadlineExceeded, OperationCancelled
 from repro.runs.errors import RunError
@@ -88,10 +88,12 @@ ERROR_STATUS = (
     (EmptyAggregateError, 400),
     # A NaN or infinite impact reaching Stage 2: the caller's data again.
     (NonFiniteImpactError, 400),
-    # An attribute match naming an attribute the query does not produce, or
-    # a supplied tuple mapping naming a key of no canonical tuple.
+    # An attribute match naming an attribute the query does not produce, a
+    # supplied tuple mapping naming a key of no canonical tuple, or a query
+    # built in code naming a relation its database lacks.
     (UnknownAttributeError, 400),
     (UnknownMatchKeyError, 400),
+    (UnknownRelationError, 400),
     (UnknownDatabaseError, 404),
     (DeltaConflictError, 409),
     (OperationCancelled, 409),

@@ -10,6 +10,7 @@ backends.
 from __future__ import annotations
 
 import enum
+import hashlib
 import math
 from array import array
 from dataclasses import dataclass
@@ -358,6 +359,27 @@ class MILPModel:
         columns = np.array(self._objective_columns, dtype=np.int64)
         coefficients = np.array(self._objective_coefficients, dtype=float)
         return self.objective_constant + float(coefficients @ x[columns])
+
+    def fingerprint(self) -> str:
+        """A sha256 of every buffer :meth:`to_arrays` reads, without exporting.
+
+        Equal fingerprints mean equal exports, so a solver deterministic for
+        given options returns the same solution for both models.  The model
+        name and the variable names are left out: no solver sees them.
+        """
+        digest = hashlib.sha256(
+            f"{self.objective_sense.value}|{self.objective_constant!r}".encode()
+        )
+        for buffer in (
+            self._objective_columns, self._objective_coefficients,
+            self._lower, self._upper, self._integral,
+            self._entry_rows, self._entry_columns, self._entry_values,
+            self._row_lower, self._row_upper,
+        ):
+            # The lengths carry the sizes and keep buffer boundaries unambiguous.
+            digest.update(len(buffer).to_bytes(8, "little"))
+            digest.update(buffer)
+        return digest.hexdigest()
 
     # -- export to matrix form ----------------------------------------------------
     def to_arrays(self) -> dict:

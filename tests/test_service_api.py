@@ -1023,6 +1023,36 @@ class TestClientMistakesSpareTheBreaker:
         error = self._rejected(strict_server, {**EXPLAIN_PAYLOAD, "query_left": query})
         assert (error.error_type, error.path) == ("SpecError", pointer)
 
+    def test_a_code_built_query_naming_an_unknown_relation_is_no_planner_fault(self):
+        """A request built in code skips the spec check: the planner's
+        ``UnknownRelationError`` must reach the caller as a client error,
+        without a naive-interpreter rung or a breaker failure."""
+        from dataclasses import replace
+
+        from repro.datasets.sql_catalog import figure1_databases
+        from repro.relational.errors import UnknownRelationError
+        from repro.service import ExplainRequest, ServiceConfig
+        from repro.service.http import error_response
+
+        db_left, db_right, _ = figure1_databases()
+        service = ExplainService(ServiceConfig(breaker_failures=1))
+        service.register_database(db_left, "D1")
+        service.register_database(db_right, "D2")
+        request = ExplainRequest(
+            count_query("Q1", Scan("Nope"), attribute="Program"), "D1",
+            count_query("Q2", Scan("D2"), predicate=(col("Univ") == "A"), attribute="Major"), "D2",
+            attribute_matches=matching(("Program", "Major")),
+        )
+        with pytest.raises(UnknownRelationError) as excinfo:
+            service.explain(request)
+        status, envelope = error_response(excinfo.value)
+        assert (status, envelope["error"]["type"]) == (400, "UnknownRelationError")
+        assert service.stats()["degradations"] == {}
+        assert not service.breakers.any_open()
+        fixed = replace(request, query_left=count_query("Q1", Scan("D1"), attribute="Program"))
+        assert service.explain(fixed).report.explanations.evidence
+        assert service.health()["status"] == "ok"
+
 
 class TestEmptyAggregateEnvelope:
     """Regression: a non-COUNT aggregate over an all-NULL column is a typed
